@@ -17,7 +17,9 @@
 // the audit into a regression gate (exit 1 on any position mismatch). The
 // track sweep runs a moving tag through the TrackedLocalizer, gated coarse
 // search vs ungated (--track-parity gates the gating-off bit-parity audit);
-// --mode=soak --wire swaps the in-process soak for a TCP-loopback smoke.
+// --mode=soak --wire swaps the in-process soak for a TCP-loopback smoke;
+// --engine-threads=LIST and --assembler-threads=LIST sweep the service's
+// thread counts (default: the shipped serve::ServiceOptions; 0 = all cores).
 // Repeated sweeps report bench::Stats (min/p50/stddev over warmup+reps) so
 // regressions can be told from run-to-run noise.
 //
@@ -878,7 +880,9 @@ TrackComparison RunTrackComparison(std::size_t locations,
 // ---------------------------------------------------------------------------
 // Soak mode (--mode=soak): thousands of simulated concurrent tags replay
 // dataset rounds through serve::LocalizationService over producer threads,
-// sweeping tag count x shard count x producer threads. Reports rounds/sec
+// sweeping tag count x shard count x producer threads x engine threads x
+// assembler threads (the last two default to the shipped
+// serve::ServiceOptions, so the soak measures what ships). Reports rounds/sec
 // (bench::Stats over K reps) and p50/p99/p999 end-to-end latency from the
 // serve.e2e_latency_us histogram, plus a single-mutex net::Collector
 // baseline; every position is checked bit-identical to the serial engine.
@@ -887,6 +891,10 @@ struct SoakConfig {
   std::vector<std::size_t> tags{1000};
   std::vector<std::size_t> shards{1, 8, 64};
   std::vector<std::size_t> producers{4};
+  std::vector<std::size_t> engine_threads{
+      serve::ServiceOptions{}.engine_threads};
+  std::vector<std::size_t> assembler_threads{
+      serve::ServiceOptions{}.assembler_threads};
   std::size_t rounds_per_tag = 2;
   std::size_t reps = 3;
   std::size_t warmup = 1;
@@ -898,6 +906,8 @@ struct SoakPoint {
   std::size_t tags = 0;
   std::size_t shards = 0;
   std::size_t producers = 0;
+  std::size_t engine_threads = 0;     // resolved pool size
+  std::size_t assembler_threads = 0;  // resolved (clamped to shards)
   bloc::bench::Stats rounds_per_sec;
   double p50_us = 0.0;
   double p99_us = 0.0;
@@ -1176,109 +1186,122 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
         MakePicks(tags, config.rounds_per_tag, dataset.rounds.size());
     for (const std::size_t shards : config.shards) {
       for (const std::size_t producers : config.producers) {
-        serve::ServiceOptions so;
-        so.shards = shards;
-        so.assembler_threads = 1;
-        so.engine_threads = 1;
-        so.shed_policy = config.shed_policy;
-        serve::LocalizationService service(
-            dataset.deployment, sim::PaperLocalizerConfig(dataset), so);
+        for (const std::size_t engine_threads : config.engine_threads) {
+          for (const std::size_t assembler_threads :
+               config.assembler_threads) {
+            serve::ServiceOptions so;
+            so.shards = shards;
+            so.assembler_threads = assembler_threads;
+            so.engine_threads = engine_threads;
+            so.shed_policy = config.shed_policy;
+            serve::LocalizationService service(
+                dataset.deployment, sim::PaperLocalizerConfig(dataset), so);
 
-        // The callback runs on the single assembler thread; `delivered`
-        // needs no lock. Updates for one tag must arrive in round order
-        // and carry the serial engine's exact position.
-        std::atomic<std::uint64_t> updates{0};
-        std::atomic<std::uint64_t> mismatches{0};
-        std::atomic<std::uint64_t> order_violations{0};
-        std::vector<std::uint64_t> delivered(tags, 0);
-        service.SetUpdateCallback([&](const serve::PositionUpdate& u) {
-          updates.fetch_add(1, std::memory_order_relaxed);
-          const std::uint64_t expected_round =
-              delivered[u.tag_id] % config.rounds_per_tag;
-          ++delivered[u.tag_id];
-          if (u.round_id != expected_round) {
-            order_violations.fetch_add(1, std::memory_order_relaxed);
-            return;
-          }
-          const core::LocationResult& ref =
-              reference[picks[u.tag_id][u.round_id]];
-          if (u.result.position.x != ref.position.x ||
-              u.result.position.y != ref.position.y ||
-              u.result.score != ref.score) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-        service.Start();
-        if (admin != nullptr) admin->Attach(&service);
-
-        // The in-bench scrape client runs concurrently with the measured
-        // passes — exactly what an external Prometheus would do.
-        std::thread scraper;
-        std::vector<std::string> point_failures;
-        if (admin != nullptr && scrape_failures != nullptr) {
-          scraper = std::thread(
-              [&] { point_failures = ScrapeAdminMidRun(admin->port()); });
-        }
-
-        const obs::Snapshot before = obs::Snapshot::Capture();
-        std::atomic<std::uint64_t> retries{0};
-        const bloc::bench::Stats stats = bloc::bench::MeasureRepeated(
-            config.warmup, config.reps, [&] {
-              const double sec =
-                  RunSoakPass(service, dataset, picks, producers,
-                              config.rounds_per_tag, retries);
-              return static_cast<double>(tags * config.rounds_per_tag) / sec;
+            // All of one tag's updates come from the assembler thread owning
+            // its shard, so each `delivered[tag]` slot has a single writer and
+            // needs no lock. Updates for one tag must arrive in round order
+            // and carry the serial engine's exact position.
+            std::atomic<std::uint64_t> updates{0};
+            std::atomic<std::uint64_t> mismatches{0};
+            std::atomic<std::uint64_t> order_violations{0};
+            std::vector<std::uint64_t> delivered(tags, 0);
+            service.SetUpdateCallback([&](const serve::PositionUpdate& u) {
+              updates.fetch_add(1, std::memory_order_relaxed);
+              const std::uint64_t expected_round =
+                  delivered[u.tag_id] % config.rounds_per_tag;
+              ++delivered[u.tag_id];
+              if (u.round_id != expected_round) {
+                order_violations.fetch_add(1, std::memory_order_relaxed);
+                return;
+              }
+              const core::LocationResult& ref =
+                  reference[picks[u.tag_id][u.round_id]];
+              if (u.result.position.x != ref.position.x ||
+                  u.result.position.y != ref.position.y ||
+                  u.result.score != ref.score) {
+                mismatches.fetch_add(1, std::memory_order_relaxed);
+              }
             });
-        const obs::Delta delta =
-            obs::Delta::Between(before, obs::Snapshot::Capture());
-        if (scraper.joinable()) scraper.join();
-        if (admin != nullptr) admin->Attach(nullptr);
-        service.Stop();
-        if (scrape_failures != nullptr) {
-          for (const std::string& failure : point_failures) {
-            scrape_failures->push_back(
-                "tags=" + std::to_string(tags) + " shards=" +
-                std::to_string(shards) + ": " + failure);
+            service.Start();
+            if (admin != nullptr) admin->Attach(&service);
+
+            // The in-bench scrape client runs concurrently with the measured
+            // passes — exactly what an external Prometheus would do.
+            std::thread scraper;
+            std::vector<std::string> point_failures;
+            if (admin != nullptr && scrape_failures != nullptr) {
+              scraper = std::thread(
+                  [&] { point_failures = ScrapeAdminMidRun(admin->port()); });
+            }
+
+            const obs::Snapshot before = obs::Snapshot::Capture();
+            std::atomic<std::uint64_t> retries{0};
+            const bloc::bench::Stats stats = bloc::bench::MeasureRepeated(
+                config.warmup, config.reps, [&] {
+                  const double sec =
+                      RunSoakPass(service, dataset, picks, producers,
+                                  config.rounds_per_tag, retries);
+                  return static_cast<double>(tags * config.rounds_per_tag) /
+                         sec;
+                });
+            const obs::Delta delta =
+                obs::Delta::Between(before, obs::Snapshot::Capture());
+            if (scraper.joinable()) scraper.join();
+            if (admin != nullptr) admin->Attach(nullptr);
+            service.Stop();
+            if (scrape_failures != nullptr) {
+              for (const std::string& failure : point_failures) {
+                scrape_failures->push_back(
+                    "tags=" + std::to_string(tags) + " shards=" +
+                    std::to_string(shards) + ": " + failure);
+              }
+            }
+
+            SoakPoint point;
+            point.tags = tags;
+            point.shards = service.shard_count();
+            point.producers = producers;
+            point.engine_threads = service.engine().threads();
+            point.assembler_threads = service.options().assembler_threads;
+            point.rounds_per_sec = stats;
+            point.p50_us =
+                IntervalQuantile(delta, "serve.e2e_latency_us", 0.50);
+            point.p99_us =
+                IntervalQuantile(delta, "serve.e2e_latency_us", 0.99);
+            point.p999_us =
+                IntervalQuantile(delta, "serve.e2e_latency_us", 0.999);
+            point.retries = retries.load();
+            point.counters = service.Counters();
+            point.updates = updates.load();
+            const std::uint64_t expected =
+                (config.warmup + config.reps) * tags * config.rounds_per_tag;
+            point.lost_rounds = expected - std::min<std::uint64_t>(
+                                               expected, point.updates);
+            point.parity_mismatches = mismatches.load();
+            point.order_violations = order_violations.load();
+            result.points.push_back(point);
+
+            result.total_lost += point.lost_rounds;
+            result.total_mismatches += point.parity_mismatches;
+            result.total_order_violations += point.order_violations;
+            result.total_shed += point.counters.shed_rounds;
+            result.total_expired += point.counters.expired_rounds;
+            result.total_duplicates += point.counters.duplicate_frames;
+            result.worst_p99_us = std::max(result.worst_p99_us, point.p99_us);
+
+            std::cout << "  tags=" << tags << " shards=" << point.shards
+                      << " producers=" << producers
+                      << " engine_threads=" << point.engine_threads
+                      << " assemblers=" << point.assembler_threads << "  "
+                      << stats.mean << " rounds/sec (stddev " << stats.stddev
+                      << ")  p50=" << point.p50_us / 1e3
+                      << "ms p99=" << point.p99_us / 1e3
+                      << "ms p999=" << point.p999_us / 1e3 << "ms  lost="
+                      << point.lost_rounds << " mismatch="
+                      << point.parity_mismatches << " retries=" << point.retries
+                      << "\n";
           }
         }
-
-        SoakPoint point;
-        point.tags = tags;
-        point.shards = service.shard_count();
-        point.producers = producers;
-        point.rounds_per_sec = stats;
-        point.p50_us = IntervalQuantile(delta, "serve.e2e_latency_us", 0.50);
-        point.p99_us = IntervalQuantile(delta, "serve.e2e_latency_us", 0.99);
-        point.p999_us =
-            IntervalQuantile(delta, "serve.e2e_latency_us", 0.999);
-        point.retries = retries.load();
-        point.counters = service.Counters();
-        point.updates = updates.load();
-        const std::uint64_t expected = (config.warmup + config.reps) * tags *
-                                       config.rounds_per_tag;
-        point.lost_rounds = expected - std::min<std::uint64_t>(
-                                           expected, point.updates);
-        point.parity_mismatches = mismatches.load();
-        point.order_violations = order_violations.load();
-        result.points.push_back(point);
-
-        result.total_lost += point.lost_rounds;
-        result.total_mismatches += point.parity_mismatches;
-        result.total_order_violations += point.order_violations;
-        result.total_shed += point.counters.shed_rounds;
-        result.total_expired += point.counters.expired_rounds;
-        result.total_duplicates += point.counters.duplicate_frames;
-        result.worst_p99_us = std::max(result.worst_p99_us, point.p99_us);
-
-        std::cout << "  tags=" << tags << " shards=" << point.shards
-                  << " producers=" << producers << "  "
-                  << stats.mean << " rounds/sec (stddev " << stats.stddev
-                  << ")  p50=" << point.p50_us / 1e3
-                  << "ms p99=" << point.p99_us / 1e3
-                  << "ms p999=" << point.p999_us / 1e3 << "ms  lost="
-                  << point.lost_rounds << " mismatch="
-                  << point.parity_mismatches << " retries=" << point.retries
-                  << "\n";
       }
     }
   }
@@ -1369,8 +1392,8 @@ WireSmoke RunWireSmoke(const SoakConfig& config) {
   const auto pass = [&]() -> double {
     serve::ServiceOptions so;
     so.shards = 8;
-    so.assembler_threads = 1;
-    so.engine_threads = 1;
+    so.assembler_threads = config.assembler_threads.front();
+    so.engine_threads = config.engine_threads.front();
     // The OnMessage path cannot retry a refused frame (TCP gives the sender
     // no backpressure signal), so the rings are sized for the whole pass.
     so.ring_capacity = smoke.tags * smoke.rounds_per_tag *
@@ -1378,6 +1401,7 @@ WireSmoke RunWireSmoke(const SoakConfig& config) {
     serve::LocalizationService service(
         dataset.deployment, sim::PaperLocalizerConfig(dataset), so);
     std::atomic<std::uint64_t> pass_updates{0};
+    // One writer per `delivered[tag]` slot: the tag's assembler thread.
     std::vector<std::uint64_t> delivered(smoke.tags, 0);
     service.SetUpdateCallback([&](const serve::PositionUpdate& u) {
       updates.fetch_add(1, std::memory_order_relaxed);
@@ -1473,7 +1497,10 @@ void WriteSoakJson(std::ostream& out, const SoakResult& soak) {
   for (std::size_t i = 0; i < soak.points.size(); ++i) {
     const SoakPoint& p = soak.points[i];
     out << "      {\"tags\": " << p.tags << ", \"shards\": " << p.shards
-        << ", \"producers\": " << p.producers << ", \"rounds_per_sec\": ";
+        << ", \"producers\": " << p.producers
+        << ", \"engine_threads\": " << p.engine_threads
+        << ", \"assembler_threads\": " << p.assembler_threads
+        << ", \"rounds_per_sec\": ";
     p.rounds_per_sec.WriteJson(out);
     out << ", \"p50_us\": " << p.p50_us << ", \"p99_us\": " << p.p99_us
         << ", \"p999_us\": " << p.p999_us << ", \"retries\": " << p.retries
@@ -1823,6 +1850,10 @@ int main(int argc, char** argv) {
       soak_config.shards = parse_csv(arg.substr(9));
     } else if (arg.starts_with("--producers=")) {
       soak_config.producers = parse_csv(arg.substr(12));
+    } else if (arg.starts_with("--engine-threads=")) {
+      soak_config.engine_threads = parse_csv(arg.substr(17));
+    } else if (arg.starts_with("--assembler-threads=")) {
+      soak_config.assembler_threads = parse_csv(arg.substr(20));
     } else if (arg.starts_with("--rounds-per-tag=")) {
       soak_config.rounds_per_tag = std::stoul(std::string(arg.substr(17)));
     } else if (arg.starts_with("--soak-reps=")) {

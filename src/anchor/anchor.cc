@@ -16,12 +16,8 @@ AnchorNode::AnchorNode(std::uint32_t id, AnchorRole role,
 }
 
 void AnchorNode::BeginRound(std::uint64_t round_id) {
-  report_.bands.clear();
+  report_.ClearBands();
   report_.round_id = round_id;
-}
-
-void AnchorNode::RecordBand(BandMeasurement band) {
-  report_.bands.push_back(std::move(band));
 }
 
 }  // namespace bloc::anchor

@@ -33,11 +33,10 @@ class AnchorNode {
   /// Starts a new measurement round: clears band data, bumps the round id.
   void BeginRound(std::uint64_t round_id);
 
-  /// Adds the measurements for one hopped band.
-  void RecordBand(BandMeasurement band);
-
   /// The finished report for the current round.
   const CsiReport& report() const { return report_; }
+  /// The report under construction, for filling band CSI in place.
+  CsiReport& mutable_report() { return report_; }
 
  private:
   std::uint32_t id_;

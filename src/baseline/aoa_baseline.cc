@@ -33,7 +33,7 @@ BandVectors CollectBands(const anchor::CsiReport& report,
                          const AoaBaselineConfig& config,
                          std::size_t antennas) {
   BandVectors out;
-  for (const anchor::BandMeasurement& b : report.bands) {
+  for (const anchor::BandMeasurement& b : report.bands()) {
     if (!config.allowed_channels.empty()) {
       const auto& ch = config.allowed_channels;
       if (std::find(ch.begin(), ch.end(), b.data_channel) == ch.end()) {
@@ -51,7 +51,7 @@ BandVectors CollectBands(const anchor::CsiReport& report,
 std::size_t EffectiveAntennas(const anchor::CsiReport& report,
                               const AoaBaselineConfig& config) {
   const std::size_t all =
-      report.bands.empty() ? 0 : report.bands[0].tag_csi.size();
+      report.band_count() == 0 ? 0 : report.band(0).tag_csi.size();
   const std::size_t n =
       config.max_antennas == 0 ? all : std::min(all, config.max_antennas);
   if (n == 0) {

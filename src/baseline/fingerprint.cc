@@ -17,11 +17,11 @@ std::vector<double> RssiFingerprint::Feature(
     const net::MeasurementRound& round) {
   std::vector<std::pair<std::uint32_t, double>> per_anchor;
   for (const anchor::CsiReport& report : round.reports) {
-    if (report.bands.empty()) continue;
+    if (report.band_count() == 0) continue;
     double mean = 0.0;
-    for (const anchor::BandMeasurement& b : report.bands) mean += b.rssi_db;
+    for (const anchor::BandMeasurement& b : report.bands()) mean += b.rssi_db;
     per_anchor.emplace_back(report.anchor_id,
-                            mean / static_cast<double>(report.bands.size()));
+                            mean / static_cast<double>(report.band_count()));
   }
   std::sort(per_anchor.begin(), per_anchor.end());
   std::vector<double> feature;

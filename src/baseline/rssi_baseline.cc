@@ -21,12 +21,12 @@ RssiResult RssiBaseline::Locate(const net::MeasurementRound& round) const {
   std::vector<double> ranges;
   for (const anchor::CsiReport& report : round.reports) {
     const core::AnchorPose* pose = deployment_.Find(report.anchor_id);
-    if (pose == nullptr || report.bands.empty()) continue;
+    if (pose == nullptr || report.band_count() == 0) continue;
     double mean_rssi = 0.0;
-    for (const anchor::BandMeasurement& b : report.bands) {
+    for (const anchor::BandMeasurement& b : report.bands()) {
       mean_rssi += b.rssi_db;
     }
-    mean_rssi /= static_cast<double>(report.bands.size());
+    mean_rssi /= static_cast<double>(report.band_count());
     positions.push_back(pose->geometry.Centroid());
     ranges.push_back(RangeFromRssi(mean_rssi));
   }

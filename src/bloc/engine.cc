@@ -110,6 +110,10 @@ std::vector<LocationResult> LocalizationEngine::LocateBatch(
 
 LocalizerWorkspace* LocalizationEngine::AcquireWorkspace() {
   std::lock_guard<std::mutex> lock(workspace_mutex_);
+  if (free_workspaces_.empty()) {
+    extra_workspaces_.push_back(std::make_unique<LocalizerWorkspace>());
+    return extra_workspaces_.back().get();
+  }
   LocalizerWorkspace* ws = free_workspaces_.back();
   free_workspaces_.pop_back();
   return ws;
@@ -121,16 +125,21 @@ void LocalizationEngine::ReleaseWorkspace(LocalizerWorkspace* ws) {
 }
 
 std::future<void> LocalizationEngine::LocateAsync(
-    const net::MeasurementRound& round, LocationResult& out) {
-  return pool_.Submit([this, &round, &out] {
-    LocalizerWorkspace* ws = AcquireWorkspace();
-    try {
-      out = localizer_.Locate(round, *ws);
-    } catch (...) {
-      ReleaseWorkspace(ws);
-      throw;  // rethrown to the caller by the future
-    }
-    ReleaseWorkspace(ws);
+    const net::MeasurementRound& round, LocationResult& out,
+    std::function<void()> on_done) {
+  return pool_.Submit([this, &round, &out, on_done = std::move(on_done)] {
+    // Releases the workspace, then signals completion, also when Locate
+    // throws (the exception reaches the caller through the future).
+    struct Finish {
+      LocalizationEngine* engine;
+      LocalizerWorkspace* ws;
+      const std::function<void()>& on_done;
+      ~Finish() {
+        engine->ReleaseWorkspace(ws);
+        if (on_done) on_done();
+      }
+    } finish{this, AcquireWorkspace(), on_done};
+    out = localizer_.Locate(round, *finish.ws);
   });
 }
 

@@ -14,7 +14,9 @@
 // precomputed split-complex kernel allocation-free.
 #pragma once
 
+#include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -50,8 +52,14 @@ class LocalizationEngine {
   /// until the returned future resolves; results are bit-identical to
   /// Locate/LocateBatch. Must not be interleaved with LocateBatch/Locate
   /// calls (they address the per-slot workspaces directly).
+  ///
+  /// `on_done` (optional) runs on the worker right after `out` is written
+  /// (or the locate threw) — a push-style completion signal for consumers
+  /// that park instead of polling the future. The future may become ready
+  /// a moment after `on_done` returns.
   std::future<void> LocateAsync(const net::MeasurementRound& round,
-                                LocationResult& out);
+                                LocationResult& out,
+                                std::function<void()> on_done = {});
 
   std::size_t threads() const { return pool_.size(); }
   const Localizer& localizer() const { return localizer_; }
@@ -65,10 +73,13 @@ class LocalizationEngine {
   Localizer localizer_;
   dsp::ThreadPool pool_;
   std::vector<LocalizerWorkspace> workspaces_;  // one per pool slot
-  // Free list for LocateAsync tasks: at most pool_.size() tasks execute
-  // concurrently, so acquisition never fails.
+  // Free list for LocateAsync tasks. A pool with workers runs at most
+  // pool_.size() of them at once; an inline pool runs each on its caller,
+  // and several threads may call at once (a service with more than one
+  // assembler), so an empty list grows by one workspace instead.
   std::mutex workspace_mutex_;
   std::vector<LocalizerWorkspace*> free_workspaces_;
+  std::vector<std::unique_ptr<LocalizerWorkspace>> extra_workspaces_;
 };
 
 }  // namespace bloc::core

@@ -738,8 +738,8 @@ bool Localizer::FilterInto(const net::MeasurementRound& round,
       continue;
     }
     RoundView::ReportView& rv = view.Append(i);
-    for (std::size_t k = 0; k < r.bands.size(); ++k) {
-      if (filter_channels_ && !channel_allowed_[r.bands[k].data_channel]) {
+    for (std::size_t k = 0; k < r.band_count(); ++k) {
+      if (filter_channels_ && !channel_allowed_[r.band(k).data_channel]) {
         continue;
       }
       rv.bands.push_back(k);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -46,7 +47,7 @@ MeasurementRound DecodeMeasurementRound(WireReader& r) {
   return round;
 }
 
-void Collector::OnMessage(const Message& msg) {
+void Collector::OnMessage(Message&& msg) {
   const CollectorMetrics& metrics = CollectorMetrics::Get();
   std::unique_lock lock(mutex_);
   if (const auto* hello = std::get_if<AnchorHelloMsg>(&msg)) {
@@ -55,7 +56,7 @@ void Collector::OnMessage(const Message& msg) {
     cv_.notify_all();
     return;
   }
-  if (const auto* report_msg = std::get_if<CsiReportMsg>(&msg)) {
+  if (auto* report_msg = std::get_if<CsiReportMsg>(&msg)) {
     metrics.csi_reports.Inc();
     const std::uint64_t round_id = report_msg->report.round_id;
     if (options_.max_pending_rounds > 0 && !rounds_.contains(round_id) &&
@@ -76,7 +77,7 @@ void Collector::OnMessage(const Message& msg) {
       metrics.dropped_duplicates.Inc();
       return;
     }
-    round.push_back(report_msg->report);
+    round.push_back(std::move(report_msg->report));
     cv_.notify_all();
     return;
   }

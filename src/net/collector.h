@@ -44,7 +44,7 @@ class Collector : public MessageSink {
   Collector() = default;
   explicit Collector(Options options) : options_(options) {}
 
-  void OnMessage(const Message& msg) override;
+  void OnMessage(Message&& msg) override;
 
   /// Registered anchors (by id), snapshot.
   std::vector<AnchorHelloMsg> Anchors() const;

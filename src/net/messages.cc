@@ -77,8 +77,8 @@ void EncodeCsiReport(const anchor::CsiReport& report, WireWriter& w) {
   w.U32(report.anchor_id);
   w.Bool(report.is_master);
   w.U64(report.round_id);
-  w.U32(static_cast<std::uint32_t>(report.bands.size()));
-  for (const anchor::BandMeasurement& b : report.bands) {
+  w.U32(static_cast<std::uint32_t>(report.band_count()));
+  for (const anchor::BandMeasurement& b : report.bands()) {
     w.U8(b.data_channel);
     w.F64(b.freq_hz);
     w.ComplexVector(b.tag_csi);
@@ -94,15 +94,33 @@ anchor::CsiReport DecodeCsiReport(WireReader& r) {
   report.round_id = r.U64();
   const std::uint32_t n = r.U32();
   if (n > 4096) throw WireError("CsiReport: implausible band count");
-  report.bands.reserve(n);
+  // A pre-pass over the length prefixes sizes the report's single storage
+  // block exactly; the values are then decoded straight into it.
+  constexpr std::size_t kBandHeader = 1 + 8;  // channel, frequency
+  WireReader scan = r;
+  std::size_t values = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
-    anchor::BandMeasurement b;
-    b.data_channel = r.U8();
-    b.freq_hz = r.F64();
-    b.tag_csi = r.ComplexVector();
-    b.master_csi = r.ComplexVector();
-    b.rssi_db = r.F64();
-    report.bands.push_back(std::move(b));
+    scan.Skip(kBandHeader);
+    for (int leg = 0; leg < 2; ++leg) {
+      const std::uint32_t count = scan.ComplexCount();
+      scan.Skip(std::size_t{count} * 16);
+      values += count;
+    }
+    scan.Skip(8);  // rssi
+  }
+  report.Reserve(n, values);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint8_t channel = r.U8();
+    const double freq_hz = r.F64();
+    const std::uint32_t tag_count = r.ComplexCount();
+    WireReader master_prefix = r;
+    master_prefix.Skip(std::size_t{tag_count} * 16);
+    const anchor::MutableBand band = report.AddBand(
+        channel, freq_hz, tag_count, master_prefix.ComplexCount());
+    r.Complexes(band.tag_csi);
+    r.Skip(4);  // the master count, read above
+    r.Complexes(band.master_csi);
+    band.rssi_db = r.F64();
   }
   return report;
 }

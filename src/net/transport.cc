@@ -10,6 +10,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -53,7 +54,7 @@ void InProcTransport::Send(const Message& msg) {
   metrics.frames_sent.Inc();
   metrics.bytes_sent.Inc(frame.size());
   for (Message& decoded : parser_.Feed(frame)) {
-    sink_.OnMessage(decoded);
+    sink_.OnMessage(std::move(decoded));
   }
 }
 
@@ -142,9 +143,9 @@ void TcpServer::ConnectionLoop(int fd) {
     } catch (const WireError&) {
       break;  // corrupt stream: drop the connection
     }
-    for (const Message& m : messages) {
+    for (Message& m : messages) {
       std::lock_guard lock(mutex_);
-      sink_.OnMessage(m);
+      sink_.OnMessage(std::move(m));
     }
   }
 }

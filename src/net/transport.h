@@ -18,11 +18,13 @@
 
 namespace bloc::net {
 
-/// Receiver interface: the server side of a transport.
+/// Receiver interface: the server side of a transport. The sink takes
+/// ownership of each decoded message, so a report's CSI is decoded once
+/// and moved, never copied, on its way in.
 class MessageSink {
  public:
   virtual ~MessageSink() = default;
-  virtual void OnMessage(const Message& msg) = 0;
+  virtual void OnMessage(Message&& msg) = 0;
 };
 
 /// Sender interface: the anchor side of a transport.

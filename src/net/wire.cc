@@ -43,7 +43,7 @@ void WireWriter::String(const std::string& v) {
   Bytes(std::span(reinterpret_cast<const std::uint8_t*>(v.data()), v.size()));
 }
 
-void WireWriter::ComplexVector(const dsp::CVec& v) {
+void WireWriter::ComplexVector(std::span<const dsp::cplx> v) {
   U32(static_cast<std::uint32_t>(v.size()));
   for (const dsp::cplx& c : v) Complex(c);
 }
@@ -106,15 +106,22 @@ std::string WireReader::String() {
   return std::string(b.begin(), b.end());
 }
 
-dsp::CVec WireReader::ComplexVector() {
+std::uint32_t WireReader::ComplexCount() {
   const std::uint32_t n = U32();
   if (static_cast<std::size_t>(n) * 16 > remaining()) {
     throw WireError("wire decode: bad complex vector length");
   }
-  dsp::CVec out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(Complex());
-  return out;
+  return n;
+}
+
+void WireReader::Complexes(std::span<dsp::cplx> out) {
+  Need(out.size() * 16);
+  for (dsp::cplx& c : out) c = Complex();
+}
+
+void WireReader::Skip(std::size_t n) {
+  Need(n);
+  pos_ += n;
 }
 
 namespace {

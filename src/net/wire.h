@@ -26,7 +26,8 @@ class WireWriter {
   /// Length-prefixed (u32) byte string.
   void Bytes(std::span<const std::uint8_t> v);
   void String(const std::string& v);
-  void ComplexVector(const dsp::CVec& v);
+  /// Length-prefixed (u32) complex values.
+  void ComplexVector(std::span<const dsp::cplx> v);
 
   const Buffer& buffer() const { return buf_; }
   Buffer Take() { return std::move(buf_); }
@@ -55,7 +56,12 @@ class WireReader {
   dsp::cplx Complex();
   Buffer Bytes();
   std::string String();
-  dsp::CVec ComplexVector();
+  /// The u32 length prefix of a complex vector, checked against the bytes
+  /// left; the values follow and are read with Complexes().
+  std::uint32_t ComplexCount();
+  /// Reads out.size() complex values straight into `out`.
+  void Complexes(std::span<dsp::cplx> out);
+  void Skip(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }

@@ -56,6 +56,10 @@ LocalizationService::LocalizationService(core::Deployment deployment,
     shards_.push_back(
         std::make_unique<TagSessionShard>(options_.ring_capacity));
   }
+  wakes_.reserve(options_.assembler_threads);
+  for (std::size_t w = 0; w < options_.assembler_threads; ++w) {
+    wakes_.push_back(std::make_unique<AssemblerWake>());
+  }
   auto ids = std::make_shared<std::vector<std::uint32_t>>(
       deployment.AnchorIds());
   std::sort(ids->begin(), ids->end());
@@ -90,6 +94,7 @@ void LocalizationService::Stop() {
     }
   }
   running_.store(false, std::memory_order_release);
+  WakeAll();
   for (std::thread& t : assemblers_) t.join();
   assemblers_.clear();
 }
@@ -112,7 +117,8 @@ bool LocalizationService::Ingest(std::uint64_t tag_id,
     metrics.refused.Inc();
     return false;
   }
-  TagSessionShard& shard = *shards_[ShardOf(tag_id)];
+  const std::size_t shard_index = ShardOf(tag_id);
+  TagSessionShard& shard = *shards_[shard_index];
   TagFrame frame{tag_id, obs::NowNs(), std::move(report)};
   if (!shard.ring.TryPush(std::move(frame))) {
     refused_frames_.fetch_add(1, std::memory_order_relaxed);
@@ -120,21 +126,29 @@ bool LocalizationService::Ingest(std::uint64_t tag_id,
     return false;
   }
   frames_in_rings_.fetch_add(1, std::memory_order_release);
-  shard.depth.fetch_add(1, std::memory_order_relaxed);
+  // Only a push into an empty ring wakes the assembler. A push that finds
+  // depth > 0 needs no wake: the assembler has yet to lower depth for an
+  // earlier frame, and that acq_rel decrement (which sees this push) is
+  // followed by another pop before it can park. A push that finds depth
+  // wrapped below zero (its frame already popped) is covered by the
+  // producer whose increment brings depth back to zero.
+  if (shard.depth.fetch_add(1, std::memory_order_acq_rel) == 0) {
+    Wake(WorkerOf(shard_index));
+  }
   admitted_frames_.fetch_add(1, std::memory_order_relaxed);
   metrics.admitted.Inc();
   metrics.ring_depth.Add(1);
   return true;
 }
 
-void LocalizationService::OnMessage(const net::Message& msg) {
-  if (const auto* tagged = std::get_if<net::TagCsiReportMsg>(&msg)) {
-    Ingest(tagged->tag_id, tagged->report);
+void LocalizationService::OnMessage(net::Message&& msg) {
+  if (auto* tagged = std::get_if<net::TagCsiReportMsg>(&msg)) {
+    Ingest(tagged->tag_id, std::move(tagged->report));
     return;
   }
-  if (const auto* report = std::get_if<net::CsiReportMsg>(&msg)) {
+  if (auto* report = std::get_if<net::CsiReportMsg>(&msg)) {
     // Single-tenant drop-in: untagged reports belong to tag 0.
-    Ingest(0, report->report);
+    Ingest(0, std::move(report->report));
     return;
   }
   if (const auto* hello = std::get_if<net::AnchorHelloMsg>(&msg)) {
@@ -226,39 +240,59 @@ ServiceHealthStats LocalizationService::HealthStats() const {
   return stats;
 }
 
+void LocalizationService::Wake(std::size_t worker) {
+  AssemblerWake& wake = *wakes_[worker];
+  // seq_cst pairs with Park(): either this increment is seen by the
+  // assembler's predicate, or `parked` is seen here and the notify (under
+  // the mutex, so it cannot slip in before the wait) wakes it.
+  wake.epoch.fetch_add(1, std::memory_order_seq_cst);
+  if (wake.parked.load(std::memory_order_seq_cst)) {
+    std::lock_guard lock(wake.mutex);
+    wake.cv.notify_one();
+  }
+}
+
+void LocalizationService::WakeAll() {
+  for (std::size_t w = 0; w < wakes_.size(); ++w) Wake(w);
+}
+
+void LocalizationService::Park(
+    std::size_t worker, std::uint64_t seen,
+    std::chrono::steady_clock::time_point deadline) {
+  AssemblerWake& wake = *wakes_[worker];
+  std::unique_lock lock(wake.mutex);
+  wake.parked.store(true, std::memory_order_seq_cst);
+  wake.cv.wait_until(lock, deadline, [&] {
+    return wake.epoch.load(std::memory_order_seq_cst) != seen ||
+           !running_.load(std::memory_order_acquire);
+  });
+  wake.parked.store(false, std::memory_order_relaxed);
+}
+
 void LocalizationService::AssemblerLoop(std::size_t worker) {
-  std::uint64_t last_gc_ns = obs::NowNs();
-  // GC cadence: a quarter of the round timeout, clamped to [5ms, 1s].
-  const std::uint64_t gc_period_ns = std::clamp<std::uint64_t>(
-      static_cast<std::uint64_t>(options_.round_timeout.count()) / 4,
-      5'000'000ull, 1'000'000'000ull);
-  std::size_t idle_passes = 0;
+  const std::chrono::nanoseconds gc_period = GcPeriod();
+  auto next_gc = std::chrono::steady_clock::now() + gc_period;
   while (running_.load(std::memory_order_acquire)) {
+    // Read before the pass: any wake from here on makes Park return at
+    // once, so work that arrives during the pass is never slept on.
+    const std::uint64_t seen =
+        wakes_[worker]->epoch.load(std::memory_order_seq_cst);
     std::size_t work = 0;
     for (std::size_t s = worker; s < shards_.size();
          s += options_.assembler_threads) {
       work += DrainShardRing(worker, *shards_[s]);
       work += SweepCompletions(*shards_[s]);
     }
-    const std::uint64_t now = obs::NowNs();
-    if (now - last_gc_ns >= gc_period_ns) {
-      last_gc_ns = now;
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= next_gc) {
+      next_gc = now + gc_period;
+      const std::uint64_t now_ns = obs::NowNs();
       for (std::size_t s = worker; s < shards_.size();
            s += options_.assembler_threads) {
-        CollectGarbage(*shards_[s], now);
+        CollectGarbage(*shards_[s], now_ns);
       }
     }
-    if (work == 0) {
-      // Nothing to do: yield a few passes (stay hot under bursty load),
-      // then sleep so an idle service costs ~nothing.
-      if (++idle_passes < 16) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    } else {
-      idle_passes = 0;
-    }
+    if (work == 0) Park(worker, seen, next_gc);
   }
 }
 
@@ -275,7 +309,7 @@ std::size_t LocalizationService::DrainShardRing(std::size_t worker,
     // all-zero instant while a frame is between the ring and the engine
     // (AdmitRound raises inflight_locates_ before this drops to zero).
     frames_in_rings_.fetch_sub(1, std::memory_order_release);
-    shard.depth.fetch_sub(1, std::memory_order_relaxed);
+    shard.depth.fetch_sub(1, std::memory_order_acq_rel);
     metrics.ring_depth.Sub(1);
     ++popped;
   }
@@ -353,17 +387,25 @@ void LocalizationService::AdmitRound(std::size_t worker,
                                      AssemblingRound&& round) {
   const Metrics& metrics = Metrics::Get();
   // Engine admission control: at the in-flight bound the assembler stalls
-  // (sweeping its shards so completions retire) instead of queueing rounds
-  // without limit. The stall propagates: rings fill, producers get refusals.
+  // (sweeping its shards so completions retire, parked between them)
+  // instead of queueing rounds without limit. The stall propagates: rings
+  // fill, producers get refusals.
   while (inflight_locates_.load(std::memory_order_acquire) >=
          options_.max_inflight_locates) {
     lock.unlock();
+    const std::uint64_t seen =
+        wakes_[worker]->epoch.load(std::memory_order_seq_cst);
     std::size_t retired = 0;
     for (std::size_t s = worker; s < shards_.size();
          s += options_.assembler_threads) {
       retired += SweepCompletions(*shards_[s]);
     }
-    if (retired == 0) std::this_thread::yield();
+    if (retired == 0 && inflight_locates_.load(std::memory_order_acquire) >=
+                            options_.max_inflight_locates) {
+      // Woken by a completion on one of this worker's shards, or by
+      // another assembler retiring a round below the bound.
+      Park(worker, seen, std::chrono::steady_clock::now() + GcPeriod());
+    }
     lock.lock();
   }
 
@@ -376,9 +418,16 @@ void LocalizationService::AdmitRound(std::size_t worker,
   metrics.inflight.Add(1);
   completed_rounds_.fetch_add(1, std::memory_order_relaxed);
   metrics.completed.Inc();
-  // The engine pool localizes on the existing workspace free list; with an
-  // inline pool (engine_threads = 1) this runs right here on the assembler.
-  node->done = engine_.LocateAsync(node->round, node->result);
+  // The engine pool localizes on its workspace free list; with an inline
+  // pool (engine_threads = 1) this runs right here on the assembler. The
+  // completion marks the node ready and wakes its assembler; the node may
+  // be recycled as soon as `ready` is seen, so nothing touches it after.
+  InflightLocate* raw = node.get();
+  node->done = engine_.LocateAsync(node->round, node->result, [this, raw] {
+    const std::size_t owner = WorkerOf(ShardOf(raw->tag_id));
+    raw->ready.store(true, std::memory_order_release);
+    Wake(owner);
+  });
   shard.inflight.push_back(std::move(node));
 }
 
@@ -391,11 +440,12 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
     // Front-first delivery keeps per-tag updates in round order even when
     // the pool finishes later rounds before earlier ones.
     while (!shard.inflight.empty() &&
-           shard.inflight.front()->done.wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready) {
+           shard.inflight.front()->ready.load(std::memory_order_acquire)) {
       std::unique_ptr<InflightLocate> node = std::move(shard.inflight.front());
       shard.inflight.pop_front();
-      node->done.get();  // Locate does not throw; surfaces bugs loudly
+      // Locate does not throw; surfaces bugs loudly. May wait a moment for
+      // the future, which resolves just after the completion signal.
+      node->done.get();
       const std::uint64_t now = obs::NowNs();
       const std::uint64_t latency_us =
           (now - node->first_ingest_ns) / 1000;
@@ -469,16 +519,28 @@ std::size_t LocalizationService::SweepCompletions(TagSessionShard& shard) {
   // Poll()/Ingest() without deadlocking.
   for (PositionUpdate& update : callbacks) {
     callback_(update);
-    metrics.inflight.Sub(1);
-    inflight_locates_.fetch_sub(1, std::memory_order_release);
+    RetireLocate();
   }
   if (!callback_) {
-    for (std::size_t i = 0; i < delivered; ++i) {
-      metrics.inflight.Sub(1);
-      inflight_locates_.fetch_sub(1, std::memory_order_release);
-    }
+    for (std::size_t i = 0; i < delivered; ++i) RetireLocate();
   }
   return delivered;
+}
+
+void LocalizationService::RetireLocate() {
+  Metrics::Get().inflight.Sub(1);
+  // Dropping back below the admission bound releases assemblers stalled in
+  // AdmitRound, whichever worker the retired round belonged to.
+  if (inflight_locates_.fetch_sub(1, std::memory_order_acq_rel) >=
+      options_.max_inflight_locates) {
+    WakeAll();
+  }
+}
+
+std::chrono::nanoseconds LocalizationService::GcPeriod() const {
+  // A quarter of the round timeout, clamped to [5ms, 1s].
+  return std::chrono::nanoseconds(std::clamp<std::int64_t>(
+      options_.round_timeout.count() / 4, 5'000'000, 1'000'000'000));
 }
 
 void LocalizationService::CollectGarbage(TagSessionShard& shard,
@@ -526,8 +588,9 @@ std::unique_ptr<InflightLocate> LocalizationService::AcquireNode() {
 
 void LocalizationService::RecycleNode(std::unique_ptr<InflightLocate> node) {
   node->result = core::LocationResult{};
-  node->round.reports.clear();  // keeps capacity; bands free their memory
+  node->round.reports.clear();  // keeps capacity; reports free their CSI
   node->done = std::future<void>{};
+  node->ready.store(false, std::memory_order_relaxed);
   std::lock_guard lock(node_pool_mutex_);
   if (node_pool_.size() < 2 * options_.max_inflight_locates) {
     node_pool_.push_back(std::move(node));

@@ -6,9 +6,16 @@
 //   producers (transports / Ingest)          assembler thread(s)
 //   ─ lock-free TryPush into the tag's ──►   drain rings -> assemble rounds
 //     shard ring; full ring = refusal        under the shard mutex; complete
-//                                            rounds feed LocateAsync; ready
-//                                            results flow to the callback or
-//                                            the per-tag Poll() backlog
+//                                            rounds feed LocateAsync on the
+//                                            engine pool (all cores by
+//                                            default); ready results flow to
+//                                            the callback or the per-tag
+//                                            Poll() backlog
+//
+// Threading and wake model: an assembler never spins. With nothing to do it
+// parks on its own condition variable and is woken by exactly three
+// events: a push into one of its empty rings, an engine completion for one
+// of its shards, and its round-timeout GC deadline (the only timed wait).
 //
 // Guarantees:
 //  - Per-tag FIFO: frames from one producer assemble in send order, and
@@ -31,8 +38,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -53,8 +63,10 @@ struct ServiceOptions {
   /// Assembler threads draining the rings (shard k belongs to thread
   /// k % assembler_threads). One is right on small machines.
   std::size_t assembler_threads = 1;
-  /// LocalizationEngine pool threads (0 = hardware_concurrency).
-  std::size_t engine_threads = 1;
+  /// LocalizationEngine pool threads (0 = hardware_concurrency). Rounds
+  /// localize on the pool, off the assembler; 1 runs every locate inline on
+  /// the assembler thread.
+  std::size_t engine_threads = 0;
   /// Max rounds under assembly per tag before the shed policy applies.
   std::size_t max_assembling_rounds = 16;
   /// Max completed rounds in the engine at once (0 = 4x engine pool size).
@@ -129,7 +141,8 @@ class LocalizationService : public net::MessageSink {
   LocalizationService& operator=(const LocalizationService&) = delete;
 
   /// Position-stream push mode: every localized round is delivered here
-  /// (from an assembler thread, never under a shard mutex). Set before
+  /// (from the assembler thread that owns the tag's shard, never under a
+  /// shard mutex, so one tag's updates never race each other). Set before
   /// Start(); when unset, updates accumulate in the per-tag Poll() backlog.
   void SetUpdateCallback(std::function<void(const PositionUpdate&)> callback);
 
@@ -155,7 +168,8 @@ class LocalizationService : public net::MessageSink {
   /// Transport entry point. TagCsiReportMsg routes to its tag's session;
   /// a plain CsiReportMsg is adopted as tag 0 (single-tenant drop-in);
   /// AnchorHelloMsg (re)registers the anchor view used by new sessions.
-  void OnMessage(const net::Message& msg) override;
+  /// Reports are moved into the ring, not copied.
+  void OnMessage(net::Message&& msg) override;
 
   /// Pull mode: the oldest undelivered update for `tag_id`, if any.
   std::optional<PositionUpdate> Poll(std::uint64_t tag_id);
@@ -183,6 +197,26 @@ class LocalizationService : public net::MessageSink {
  private:
   struct Metrics;  // registry handles (service.cc)
 
+  /// One assembler's parking spot. `epoch` counts wake events; the
+  /// assembler reads it before a pass and parks only if it is unchanged
+  /// after a pass that found no work, so a wake can never be lost.
+  struct AssemblerWake {
+    std::atomic<std::uint64_t> epoch{0};
+    std::atomic<bool> parked{false};
+    std::mutex mutex;
+    std::condition_variable cv;
+  };
+
+  std::size_t WorkerOf(std::size_t shard) const {
+    return shard % options_.assembler_threads;
+  }
+  /// Wakes assembler `worker` if it is parked (cheap when it is not).
+  void Wake(std::size_t worker);
+  void WakeAll();
+  /// Blocks until a wake newer than `seen`, Stop(), or `deadline`.
+  void Park(std::size_t worker, std::uint64_t seen,
+            std::chrono::steady_clock::time_point deadline);
+
   void AssemblerLoop(std::size_t worker);
   /// Pops up to one batch from the shard ring and assembles. Returns the
   /// number of frames consumed.
@@ -201,6 +235,10 @@ class LocalizationService : public net::MessageSink {
   /// Delivers every ready completion at the front of the shard's FIFO.
   /// Returns the number delivered. Callbacks run outside the mutex.
   std::size_t SweepCompletions(TagSessionShard& shard);
+  /// Lowers the in-flight count for one delivered round.
+  void RetireLocate();
+  /// Round-timeout GC cadence, the assemblers' only timed wait.
+  std::chrono::nanoseconds GcPeriod() const;
   /// Round-timeout and idle-session GC over one shard.
   void CollectGarbage(TagSessionShard& shard, std::uint64_t now_ns);
 
@@ -208,6 +246,9 @@ class LocalizationService : public net::MessageSink {
   void RecycleNode(std::unique_ptr<InflightLocate> node);
 
   ServiceOptions options_;
+  /// Declared before engine_ so they outlive its pool: a worker may still
+  /// be inside Wake() when the last completion has been delivered.
+  std::vector<std::unique_ptr<AssemblerWake>> wakes_;
   core::LocalizationEngine engine_;
   std::vector<std::unique_ptr<TagSessionShard>> shards_;
 

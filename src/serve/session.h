@@ -110,6 +110,10 @@ struct InflightLocate {
   net::MeasurementRound round;
   core::LocationResult result;
   std::future<void> done;
+  /// Set by the engine worker once `result` is written (release), just
+  /// before it wakes the shard's assembler; the sweep reads it instead of
+  /// polling the future.
+  std::atomic<bool> ready{false};
 };
 
 /// One lock domain of the service. Producers touch only `ring` (lock-free);
@@ -126,7 +130,8 @@ struct TagSessionShard {
 
   /// Frames resident in this shard's ring (Ingest raises it lock-free, the
   /// assembler lowers it after assembly) — the shard-imbalance signal for
-  /// serve/health.h.
+  /// serve/health.h, and the wake trigger: the push that raises it from
+  /// zero wakes the shard's assembler.
   std::atomic<std::size_t> depth{0};
 
   /// Rolling window of the most recent end-to-end latencies (us), written

@@ -272,14 +272,25 @@ net::MeasurementRound MeasurementSimulator::RunRound(
 
   prepass_span.End();
 
-  // Parallel fan-out over (event, anchor) pairs. Each measurement forks its
+  // Every band slot is laid out serially first (one block per report, bands
+  // in event order); the parallel fan-out over (event, anchor) pairs then
+  // writes each measurement into its own slot. Each measurement forks its
   // own noise stream from (round, channel, anchor id, antenna, leg), so the
   // result is independent of which worker runs it.
+  for (std::size_t i = 0; i < num_anchors; ++i) {
+    const std::size_t antennas = anchors[i].geometry().num_antennas;
+    anchor::CsiReport& report = anchors[i].mutable_report();
+    report.Reserve(num_events,
+                   num_events * antennas * (i == master_idx ? 1 : 2));
+    for (std::size_t e = 0; e < num_events; ++e) {
+      const std::uint8_t ch = events[e].data_channel;
+      report.AddBand(ch, link::DataChannelFrequencyHz(ch), antennas,
+                     i == master_idx ? 0 : antennas);
+    }
+  }
   obs::TraceSpan fanout_span("sim.measurement.fanout", "sim",
                              num_events * num_anchors);
   master_rx_.resize(link::kNumDataChannels * total_antennas);
-  bands_.clear();
-  bands_.resize(num_events * num_anchors);
   pool_.ParallelFor(
       num_events * num_anchors, [&](std::size_t idx, std::size_t slot) {
         const std::size_t e = idx / num_anchors;
@@ -287,15 +298,11 @@ net::MeasurementRound MeasurementSimulator::RunRound(
         const std::uint8_t ch = events[e].data_channel;
         const double fc = link::DataChannelFrequencyHz(ch);
         const ChannelAssets& assets = assets_[ch];
-        const anchor::AnchorNode& node = anchors[i];
+        anchor::AnchorNode& node = anchors[i];
         const std::size_t antennas = node.geometry().num_antennas;
         Workspace& ws = workspaces_[slot];
 
-        anchor::BandMeasurement band;
-        band.data_channel = ch;
-        band.freq_hz = fc;
-        band.tag_csi.resize(antennas);
-        band.master_csi.resize(i == master_idx ? 0 : antennas);
+        const anchor::MutableBand band = node.mutable_report().mutable_band(e);
         for (std::size_t j = 0; j < antennas; ++j) {
           // Tag packet, then (on slave anchors) the overheard master reply.
           const cplx tag_rotor =
@@ -338,17 +345,9 @@ net::MeasurementRound MeasurementSimulator::RunRound(
         }
         band.rssi_db = 20.0 * std::log10(
                                   std::max(std::abs(band.tag_csi[0]), 1e-12));
-        bands_[idx] = std::move(band);
       });
 
   fanout_span.End();
-
-  // Serial assembly in the legacy (event, anchor) order.
-  for (std::size_t e = 0; e < num_events; ++e) {
-    for (std::size_t i = 0; i < num_anchors; ++i) {
-      anchors[i].RecordBand(std::move(bands_[e * num_anchors + i]));
-    }
-  }
 
   net::MeasurementRound round;
   round.round_id = round_id;

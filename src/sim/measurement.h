@@ -143,7 +143,6 @@ class MeasurementSimulator {
   std::vector<dsp::cplx> ev_master_rotor_;    // [event][antenna_offset + j]
   std::vector<double> ev_tag_cfo_;            // [event][anchor]: tag - rx
   std::vector<double> ev_master_cfo_;         // [event][anchor]: master - rx
-  std::vector<anchor::BandMeasurement> bands_;  // [event][anchor]
 };
 
 }  // namespace bloc::sim

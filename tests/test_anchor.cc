@@ -68,11 +68,10 @@ TEST(Array, MakeFacingArrayArbitraryDirection) {
 
 TEST(CsiReport, FindBand) {
   CsiReport report;
-  BandMeasurement b;
-  b.data_channel = 12;
-  report.bands.push_back(b);
-  EXPECT_NE(report.FindBand(12), nullptr);
-  EXPECT_EQ(report.FindBand(13), nullptr);
+  report.AddBand(12, 2.43e9, 4, 4);
+  ASSERT_TRUE(report.FindBand(12).has_value());
+  EXPECT_EQ(report.FindBand(12)->tag_csi.size(), 4u);
+  EXPECT_FALSE(report.FindBand(13).has_value());
 }
 
 TEST(AnchorNode, RolesAndIdentity) {
@@ -93,12 +92,12 @@ TEST(AnchorNode, RoundLifecycle) {
   node.BeginRound(42);
   BandMeasurement band;
   band.data_channel = 7;
-  node.RecordBand(band);
+  node.mutable_report().AddBand(band);
   EXPECT_EQ(node.report().round_id, 42u);
-  EXPECT_EQ(node.report().bands.size(), 1u);
+  EXPECT_EQ(node.report().band_count(), 1u);
   node.BeginRound(43);
   EXPECT_EQ(node.report().round_id, 43u);
-  EXPECT_TRUE(node.report().bands.empty());
+  EXPECT_TRUE(node.report().bands().empty());
 }
 
 TEST(AnchorNode, DistinctOscillatorsPerAnchor) {

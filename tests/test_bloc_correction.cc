@@ -58,18 +58,21 @@ SyntheticRound MakeSynthetic(std::uint64_t seed, std::size_t anchors = 3,
         report.round_id = 0;
         out.round.reports.push_back(report);
       }
-      anchor::BandMeasurement band;
-      band.data_channel = static_cast<std::uint8_t>(k);
-      band.freq_hz = 2.404e9 + 2e6 * static_cast<double>(k);
+      dsp::CVec tag_csi;
+      dsp::CVec master_csi;
       for (std::size_t j = 0; j < antennas; ++j) {
-        band.tag_csi.push_back(out.h_tag[i][j][k] *
-                               dsp::Rotor(phi_tag - phi_rx[i]));
+        tag_csi.push_back(out.h_tag[i][j][k] *
+                          dsp::Rotor(phi_tag - phi_rx[i]));
         if (i != 0) {
-          band.master_csi.push_back(out.h_master[i][j][k] *
-                                    dsp::Rotor(phi_rx[0] - phi_rx[i]));
+          master_csi.push_back(out.h_master[i][j][k] *
+                               dsp::Rotor(phi_rx[0] - phi_rx[i]));
         }
       }
-      out.round.reports[i].bands.push_back(std::move(band));
+      out.round.reports[i].AddBand(
+          {.data_channel = static_cast<std::uint8_t>(k),
+           .freq_hz = 2.404e9 + 2e6 * static_cast<double>(k),
+           .tag_csi = tag_csi,
+           .master_csi = master_csi});
     }
   }
   return out;
@@ -125,8 +128,13 @@ TEST(CorrectedChannels, BandsSortedByFrequency) {
 TEST(CorrectedChannels, UsesOnlyCommonBands) {
   SyntheticRound s = MakeSynthetic(4);
   // Drop band 2 from one slave: it must disappear from the output.
-  auto& bands = s.round.reports[1].bands;
-  bands.erase(bands.begin() + 2);
+  anchor::CsiReport& slave = s.round.reports[1];
+  anchor::CsiReport kept = slave;
+  kept.ClearBands();
+  for (std::size_t k = 0; k < slave.band_count(); ++k) {
+    if (k != 2) kept.AddBand(slave.band(k));
+  }
+  slave = kept;
   const CorrectedChannels corrected = ComputeCorrectedChannels(s.round);
   EXPECT_EQ(corrected.num_bands(), 4u);
   for (std::uint8_t c : corrected.band_channels) {
@@ -148,13 +156,12 @@ TEST(CorrectedChannels, RejectsTwoMasters) {
 
 TEST(CorrectedChannels, RejectsNoCommonBands) {
   SyntheticRound s = MakeSynthetic(7);
-  s.round.reports[1].bands.clear();
-  anchor::BandMeasurement stray;
-  stray.data_channel = 99;
-  stray.freq_hz = 2.48e9;
-  stray.tag_csi.assign(4, cplx{1, 0});
-  stray.master_csi.assign(4, cplx{1, 0});
-  s.round.reports[1].bands.push_back(stray);
+  s.round.reports[1].ClearBands();
+  const dsp::CVec ones(4, cplx{1, 0});
+  s.round.reports[1].AddBand({.data_channel = 99,
+                              .freq_hz = 2.48e9,
+                              .tag_csi = ones,
+                              .master_csi = ones});
   EXPECT_THROW(ComputeCorrectedChannels(s.round), std::invalid_argument);
 }
 

@@ -48,8 +48,8 @@ TEST(Invariants, RawChannelsAreNotStableAcrossRounds) {
   const auto r1 = simulator.RunRound(tag, 1);
   double max_phase_delta = 0.0;
   for (std::size_t k = 0; k < 37; k += 5) {
-    const dsp::cplx a = r0.reports[1].bands[k].tag_csi[0];
-    const dsp::cplx b = r1.reports[1].bands[k].tag_csi[0];
+    const dsp::cplx a = r0.reports[1].band(k).tag_csi[0];
+    const dsp::cplx b = r1.reports[1].band(k).tag_csi[0];
     max_phase_delta = std::max(
         max_phase_delta, std::abs(dsp::WrapPhase(std::arg(a) - std::arg(b))));
   }
@@ -104,7 +104,8 @@ TEST(Invariants, GlobalGainInvariance) {
 
   const dsp::cplx gain = 2.5 * dsp::Rotor(1.234);
   for (auto& report : round.reports) {
-    for (auto& band : report.bands) {
+    for (std::size_t k = 0; k < report.band_count(); ++k) {
+      const anchor::MutableBand band = report.mutable_band(k);
       for (auto& h : band.tag_csi) h *= gain;
       for (auto& h : band.master_csi) h *= gain;
     }

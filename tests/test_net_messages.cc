@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/collector.h"
 #include "net/messages.h"
 
@@ -11,14 +13,15 @@ anchor::CsiReport SampleReport() {
   report.anchor_id = 3;
   report.is_master = false;
   report.round_id = 99;
+  const dsp::CVec tag_csi = {{1.0, -0.5}, {0.2, 0.3}, {0, 0}, {-1, 1}};
+  const dsp::CVec master_csi = {
+      {0.1, 0.1}, {0.2, 0.2}, {0.3, 0.3}, {0.4, 0.4}};
   for (int b = 0; b < 3; ++b) {
-    anchor::BandMeasurement band;
-    band.data_channel = static_cast<std::uint8_t>(b * 7);
-    band.freq_hz = 2.404e9 + 2e6 * b;
-    band.tag_csi = {{1.0, -0.5}, {0.2, 0.3}, {0, 0}, {-1, 1}};
-    band.master_csi = {{0.1, 0.1}, {0.2, 0.2}, {0.3, 0.3}, {0.4, 0.4}};
-    band.rssi_db = -42.5 + b;
-    report.bands.push_back(band);
+    report.AddBand({.data_channel = static_cast<std::uint8_t>(b * 7),
+                    .freq_hz = 2.404e9 + 2e6 * b,
+                    .tag_csi = tag_csi,
+                    .master_csi = master_csi,
+                    .rssi_db = -42.5 + b});
   }
   return report;
 }
@@ -50,14 +53,17 @@ TEST(Messages, CsiReportRoundTrip) {
   const auto& out = std::get<CsiReportMsg>(*decoded).report;
   EXPECT_EQ(out.anchor_id, report.anchor_id);
   EXPECT_EQ(out.round_id, report.round_id);
-  ASSERT_EQ(out.bands.size(), report.bands.size());
-  for (std::size_t b = 0; b < out.bands.size(); ++b) {
-    EXPECT_EQ(out.bands[b].data_channel, report.bands[b].data_channel);
-    EXPECT_DOUBLE_EQ(out.bands[b].freq_hz, report.bands[b].freq_hz);
-    EXPECT_EQ(out.bands[b].tag_csi, report.bands[b].tag_csi);
-    EXPECT_EQ(out.bands[b].master_csi, report.bands[b].master_csi);
-    EXPECT_DOUBLE_EQ(out.bands[b].rssi_db, report.bands[b].rssi_db);
+  ASSERT_EQ(out.band_count(), report.band_count());
+  for (std::size_t b = 0; b < out.band_count(); ++b) {
+    EXPECT_EQ(out.band(b).data_channel, report.band(b).data_channel);
+    EXPECT_DOUBLE_EQ(out.band(b).freq_hz, report.band(b).freq_hz);
+    EXPECT_TRUE(std::ranges::equal(out.band(b).tag_csi,
+                                   report.band(b).tag_csi));
+    EXPECT_TRUE(std::ranges::equal(out.band(b).master_csi,
+                                   report.band(b).master_csi));
+    EXPECT_DOUBLE_EQ(out.band(b).rssi_db, report.band(b).rssi_db);
   }
+  EXPECT_TRUE(out == report);
 }
 
 TEST(Messages, EstimateRoundTrip) {
@@ -117,7 +123,15 @@ MeasurementRound SampleRound() {
   anchor::CsiReport master = SampleReport();
   master.anchor_id = 0;
   master.is_master = true;
-  for (auto& band : master.bands) band.master_csi.clear();
+  master.ClearBands();
+  const anchor::CsiReport slave = SampleReport();
+  for (const anchor::BandMeasurement& band : slave.bands()) {
+    master.AddBand({.data_channel = band.data_channel,
+                    .freq_hz = band.freq_hz,
+                    .tag_csi = band.tag_csi,
+                    .master_csi = {},
+                    .rssi_db = band.rssi_db});
+  }
   round.reports.push_back(master);
   return round;
 }
@@ -134,13 +148,7 @@ TEST(MeasurementRoundCodec, RoundTrip) {
   for (std::size_t i = 0; i < out.reports.size(); ++i) {
     EXPECT_EQ(out.reports[i].anchor_id, round.reports[i].anchor_id);
     EXPECT_EQ(out.reports[i].is_master, round.reports[i].is_master);
-    ASSERT_EQ(out.reports[i].bands.size(), round.reports[i].bands.size());
-    for (std::size_t b = 0; b < out.reports[i].bands.size(); ++b) {
-      EXPECT_EQ(out.reports[i].bands[b].tag_csi,
-                round.reports[i].bands[b].tag_csi);
-      EXPECT_EQ(out.reports[i].bands[b].master_csi,
-                round.reports[i].bands[b].master_csi);
-    }
+    EXPECT_TRUE(out.reports[i] == round.reports[i]);
   }
 }
 

@@ -17,12 +17,13 @@ anchor::CsiReport MakeReport(std::uint32_t anchor_id, std::uint64_t round,
   report.anchor_id = anchor_id;
   report.is_master = master;
   report.round_id = round;
-  anchor::BandMeasurement band;
-  band.data_channel = 1;
-  band.freq_hz = 2.406e9;
-  band.tag_csi = {{1, 0}};
-  if (!master) band.master_csi = {{0.5, 0.5}};
-  report.bands.push_back(band);
+  const dsp::CVec tag_csi = {{1, 0}};
+  const dsp::CVec master_csi = {{0.5, 0.5}};
+  report.AddBand({.data_channel = 1,
+                  .freq_hz = 2.406e9,
+                  .tag_csi = tag_csi,
+                  .master_csi = master ? std::span<const dsp::cplx>{}
+                                       : master_csi});
   return report;
 }
 
@@ -76,7 +77,7 @@ TEST(InProcTransport, DeliversThroughCodec) {
   const auto round = collector.TryGetRound(3);
   ASSERT_TRUE(round.has_value());
   EXPECT_EQ(round->reports[0].anchor_id, 5u);
-  EXPECT_EQ(round->reports[0].bands[0].tag_csi[0], (dsp::cplx{1, 0}));
+  EXPECT_EQ(round->reports[0].band(0).tag_csi[0], (dsp::cplx{1, 0}));
 }
 
 TEST(TcpTransport, EndToEndOverLoopback) {

@@ -4,6 +4,7 @@
 // serial engine path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "serve/ingest_queue.h"
 #include "serve/service.h"
 #include "sim/experiment.h"
+#include "track/kalman.h"
 
 namespace bloc::serve {
 namespace {
@@ -216,7 +218,7 @@ TEST(LocalizationService, PositionStreamCarriesTheTrack) {
   options.round_period_s = 0.5;
   LocalizationService service(Rounds().deployment, Config(), options);
 
-  // The callback runs on the single assembler thread; no lock needed.
+  // The callback runs on the assembler thread; no lock needed.
   std::vector<PositionUpdate> updates;
   service.SetUpdateCallback(
       [&](const PositionUpdate& u) { updates.push_back(u); });
@@ -273,8 +275,8 @@ TEST(LocalizationService, ConcurrentIngestIntoOneShardLosesNothing) {
   constexpr std::size_t kRoundsPerTag = 4;
   const std::size_t n = Rounds().rounds.size();
 
-  // The callback runs on the single assembler thread; per-tag sequences
-  // need no lock.
+  // One shard, so one assembler thread runs every callback; per-tag
+  // sequences need no lock.
   std::vector<std::vector<PositionUpdate>> delivered(kTags);
   service.SetUpdateCallback([&](const PositionUpdate& u) {
     delivered[u.tag_id].push_back(u);
@@ -489,6 +491,204 @@ TEST(LocalizationService, EngineAdmissionBoundStallsWithoutDeadlock) {
 }
 
 // ---------------------------------------------------------------------------
+// Default options: all-core engine pool, wake-on-work assemblers
+
+/// A coarser search grid: the same pipeline at a quarter of the cells, so
+/// the many-round tests below stay quick under the sanitizers.
+core::LocalizerConfig CoarseConfig() {
+  core::LocalizerConfig config = Config();
+  config.grid.resolution = 0.15;
+  return config;
+}
+
+TEST(LocalizationService, DefaultOptionsManyTagsMatchSerialPathAndTrack) {
+  ServiceOptions options;
+  EXPECT_EQ(options.engine_threads, 0u);  // all cores
+  // Every option stays at its default but the round timeout: a tag's round
+  // completes only after 768 frames of other tags, which a slow sanitizer
+  // build can stretch past the default 2 s, and expiring it would then be
+  // the right behaviour rather than what this test checks.
+  options.round_timeout = std::chrono::hours(1);
+  const core::LocalizerConfig config = CoarseConfig();
+  LocalizationService service(Rounds().deployment, config, options);
+  EXPECT_EQ(service.engine().threads(),
+            std::max(1u, std::thread::hardware_concurrency()));
+
+  constexpr std::size_t kTags = 256;
+  constexpr std::size_t kRoundsPerTag = 3;
+  const std::size_t n = Rounds().rounds.size();
+  const auto pick = [n](std::uint64_t t, std::uint64_t k) {
+    return static_cast<std::size_t>((t * 7 + k * 3) % n);
+  };
+
+  // One writer per tag: the assembler thread owning the tag's shard.
+  std::vector<std::vector<PositionUpdate>> delivered(kTags);
+  service.SetUpdateCallback(
+      [&](const PositionUpdate& u) { delivered[u.tag_id].push_back(u); });
+  service.Start();
+
+  // Interleaved across tags: round k's anchor-a frame of every tag goes out
+  // before any tag's anchor-(a+1) frame, so all 256 rounds assemble at once.
+  const std::size_t anchors = Rounds().rounds[0].reports.size();
+  for (std::uint64_t k = 0; k < kRoundsPerTag; ++k) {
+    for (std::size_t a = 0; a < anchors; ++a) {
+      for (std::uint64_t t = 0; t < kTags; ++t) {
+        while (!service.Ingest(t, FrameFor(pick(t, k), a, k))) {
+          std::this_thread::yield();
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(service.Drain(kDrain));
+  service.Stop();
+
+  std::vector<core::LocationResult> serial;
+  const core::Localizer localizer(Rounds().deployment, config);
+  for (const net::MeasurementRound& round : Rounds().rounds) {
+    serial.push_back(localizer.Locate(round));
+  }
+  for (std::uint64_t t = 0; t < kTags; ++t) {
+    ASSERT_EQ(delivered[t].size(), kRoundsPerTag) << "tag " << t;
+    // Replay the tag's fixes through a serial tracker under the service's
+    // dt rule: the tracked state must match bit for bit.
+    track::KalmanTracker tracker(options.kalman);
+    bool has_tracked = false;
+    std::uint64_t last_tracked = 0;
+    for (std::uint64_t k = 0; k < kRoundsPerTag; ++k) {
+      const PositionUpdate& u = delivered[t][k];
+      ASSERT_EQ(u.round_id, k) << "per-tag round order violated, tag " << t;
+      ExpectIdentical(u.result, serial[pick(t, k)]);
+      geom::Vec2 tracked = u.result.position;
+      geom::Vec2 velocity;
+      bool accepted = false;
+      if (u.result.anchors_used > 0) {
+        const double dt =
+            has_tracked ? static_cast<double>(k - last_tracked) *
+                              options.round_period_s
+                        : 0.0;
+        accepted = tracker.Update(u.result.position, dt);
+        if (!has_tracked || accepted || dt > 0.0) {
+          last_tracked = k;
+          has_tracked = true;
+        }
+        tracked = tracker.position();
+        velocity = tracker.velocity();
+      } else if (tracker.initialized()) {
+        tracked = tracker.position();
+        velocity = tracker.velocity();
+      }
+      EXPECT_EQ(u.fix_accepted, accepted);
+      EXPECT_EQ(u.tracked_position.x, tracked.x);
+      EXPECT_EQ(u.tracked_position.y, tracked.y);
+      EXPECT_EQ(u.velocity.x, velocity.x);
+      EXPECT_EQ(u.velocity.y, velocity.y);
+    }
+  }
+
+  // Conservation: every admitted frame ended in a localized round.
+  const ServiceCounters c = service.Counters();
+  EXPECT_EQ(c.admitted_frames, kTags * kRoundsPerTag * anchors);
+  EXPECT_EQ(c.completed_rounds, kTags * kRoundsPerTag);
+  EXPECT_EQ(c.localized_rounds, kTags * kRoundsPerTag);
+  EXPECT_EQ(c.refused_frames, 0u);
+  EXPECT_EQ(c.duplicate_frames, 0u);
+  EXPECT_EQ(c.shed_rounds, 0u);
+  EXPECT_EQ(c.expired_rounds, 0u);
+  EXPECT_EQ(c.expired_frames, 0u);
+  EXPECT_EQ(c.dropped_updates, 0u);
+  EXPECT_EQ(service.RingDepth(), 0u);
+  EXPECT_EQ(service.InflightLocates(), 0u);
+}
+
+TEST(LocalizationService, BurstsAfterIdleGapsAlwaysDrain) {
+  // Lost-wake-up stress: each burst lands on parked assemblers (an idle
+  // gap precedes it) and must drain completely. The round timeout pushes
+  // the GC deadline, the assemblers' only timed wait, to its 1 s cap, so a
+  // lost wake-up would stall a burst rather than be covered by polling.
+  // A tight in-flight bound also parks assemblers in engine admission,
+  // released by completions or, with two assemblers, by each other.
+  for (const std::size_t assemblers : {1u, 2u}) {
+    SCOPED_TRACE(assemblers);
+    ServiceOptions options;
+    options.shards = 4;
+    options.assembler_threads = assemblers;
+    options.max_inflight_locates = 2;
+    options.round_timeout = std::chrono::hours(1);
+    LocalizationService service(Rounds().deployment, CoarseConfig(), options);
+    std::atomic<std::uint64_t> updates{0};
+    service.SetUpdateCallback(
+        [&](const PositionUpdate&) { updates.fetch_add(1); });
+    service.Start();
+
+    constexpr std::size_t kBursts = 40;
+    constexpr std::size_t kProducers = 2;
+    constexpr std::uint64_t kTagsPerProducer = 4;
+    const std::size_t n = Rounds().rounds.size();
+    std::vector<std::uint64_t> next_round(kProducers * kTagsPerProducer, 0);
+    std::uint64_t sent = 0;
+    for (std::size_t b = 0; b < kBursts; ++b) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500 * (b % 4)));
+      // Burst b: producer p sends one round for (b % 3) + 1 of its tags.
+      const std::size_t tags_per_producer = b % 3 + 1;
+      std::vector<std::thread> producers;
+      for (std::size_t p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&, p] {
+          for (std::size_t i = 0; i < tags_per_producer; ++i) {
+            const std::uint64_t tag = p * kTagsPerProducer + (b + i) % 4;
+            SendRound(service, tag, (tag + b) % n, next_round[tag]++);
+          }
+        });
+      }
+      for (std::thread& t : producers) t.join();
+      sent += kProducers * tags_per_producer;
+      ASSERT_TRUE(service.Drain(kDrain)) << "burst " << b;
+      // Drain returns once the last callback has run.
+      ASSERT_EQ(updates.load(), sent) << "burst " << b;
+    }
+    service.Stop();
+    const ServiceCounters c = service.Counters();
+    const std::size_t anchors = Rounds().rounds[0].reports.size();
+    EXPECT_EQ(c.admitted_frames, sent * anchors);
+    EXPECT_EQ(c.completed_rounds, sent);
+    EXPECT_EQ(c.localized_rounds, sent);
+    EXPECT_EQ(c.refused_frames + c.duplicate_frames + c.shed_rounds +
+                  c.expired_rounds,
+              0u);
+  }
+}
+
+TEST(LocalizationService, InlineEngineUnderTwoAssemblers) {
+  // engine_threads = 1 runs each locate on the calling assembler, so two
+  // assemblers localize concurrently on a one-slot engine.
+  ServiceOptions options;
+  options.shards = 4;
+  options.assembler_threads = 2;
+  options.engine_threads = 1;
+  LocalizationService service(Rounds().deployment, CoarseConfig(), options);
+  service.Start();
+  constexpr std::uint64_t kTags = 16;
+  const std::size_t n = Rounds().rounds.size();
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    for (std::uint64_t t = 0; t < kTags; ++t) {
+      SendRound(service, t, (t + k) % n, k);
+    }
+  }
+  ASSERT_TRUE(service.Drain(kDrain));
+  service.Stop();
+  const core::Localizer localizer(Rounds().deployment, CoarseConfig());
+  for (std::uint64_t t = 0; t < kTags; ++t) {
+    for (std::uint64_t k = 0; k < 2; ++k) {
+      const auto update = service.Poll(t);
+      ASSERT_TRUE(update.has_value());
+      EXPECT_EQ(update->round_id, k);
+      ExpectIdentical(update->result,
+                      localizer.Locate(Rounds().rounds[(t + k) % n]));
+    }
+  }
+  EXPECT_EQ(service.Counters().localized_rounds, 2 * kTags);
+}
+
+// ---------------------------------------------------------------------------
 // Transport integration
 
 TEST(LocalizationService, TagReportsRouteThroughTheWireCodec) {
@@ -533,8 +733,8 @@ TEST(TagCsiReportMsg, FrameRoundTrip) {
   EXPECT_EQ(out->tag_id, msg.tag_id);
   EXPECT_EQ(out->report.anchor_id, msg.report.anchor_id);
   EXPECT_EQ(out->report.round_id, msg.report.round_id);
-  ASSERT_EQ(out->report.bands.size(), msg.report.bands.size());
-  EXPECT_EQ(out->report.bands[0].tag_csi, msg.report.bands[0].tag_csi);
+  ASSERT_EQ(out->report.band_count(), msg.report.band_count());
+  EXPECT_TRUE(out->report == msg.report);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dsp/complex_ops.h"
 #include "sim/experiment.h"
 #include "sim/measurement.h"
@@ -86,8 +88,8 @@ TEST(Measurement, RoundHasAllAnchorsAndBands) {
   ASSERT_EQ(round.reports.size(), 4u);
   for (const anchor::CsiReport& report : round.reports) {
     EXPECT_EQ(report.round_id, 7u);
-    EXPECT_EQ(report.bands.size(), 37u);
-    for (const anchor::BandMeasurement& band : report.bands) {
+    EXPECT_EQ(report.band_count(), 37u);
+    for (const anchor::BandMeasurement& band : report.bands()) {
       EXPECT_EQ(band.tag_csi.size(), 4u);
       if (report.is_master) {
         EXPECT_TRUE(band.master_csi.empty());
@@ -105,7 +107,7 @@ TEST(Measurement, ChannelMapRestrictsBands) {
   MeasurementSimulator simulator(testbed);
   simulator.SetChannelMap(link::ChannelMap::Subsampled(4));
   const net::MeasurementRound round = simulator.RunRound({2.0, 2.0}, 0);
-  EXPECT_EQ(round.reports[0].bands.size(), 10u);
+  EXPECT_EQ(round.reports[0].band_count(), 10u);
 }
 
 TEST(Measurement, RawPhasesAreGarbledAcrossRounds) {
@@ -115,8 +117,8 @@ TEST(Measurement, RawPhasesAreGarbledAcrossRounds) {
   MeasurementSimulator simulator(testbed);
   const auto r1 = simulator.RunRound({2.0, 2.0}, 0);
   const auto r2 = simulator.RunRound({2.0, 2.0}, 1);
-  const dsp::cplx a = r1.reports[0].bands[0].tag_csi[0];
-  const dsp::cplx b = r2.reports[0].bands[0].tag_csi[0];
+  const dsp::cplx a = r1.reports[0].band(0).tag_csi[0];
+  const dsp::cplx b = r2.reports[0].band(0).tag_csi[0];
   EXPECT_NEAR(std::abs(a), std::abs(b), 0.05 * std::abs(a));  // same physics
   EXPECT_GT(std::abs(dsp::WrapPhase(std::arg(a) - std::arg(b))), 1e-3);
 }
@@ -128,8 +130,8 @@ TEST(Measurement, RssiFallsWithDistance) {
   const auto near_round = simulator.RunRound({3.0, 0.7}, 0);
   const auto far_round = simulator.RunRound({3.0, 4.5}, 1);
   double near_rssi = 0, far_rssi = 0;
-  for (const auto& b : near_round.reports[0].bands) near_rssi += b.rssi_db;
-  for (const auto& b : far_round.reports[0].bands) far_rssi += b.rssi_db;
+  for (const auto& b : near_round.reports[0].bands()) near_rssi += b.rssi_db;
+  for (const auto& b : far_round.reports[0].bands()) far_rssi += b.rssi_db;
   EXPECT_GT(near_rssi / 37.0, far_rssi / 37.0 + 6.0);
 }
 
@@ -154,8 +156,8 @@ TEST(Measurement, AnalyticMatchesFullPhy) {
   for (std::size_t i = 0; i < r_a.reports.size(); ++i) {
     for (std::size_t k = 0; k < 37; k += 6) {
       for (std::size_t j = 0; j < 4; ++j) {
-        const dsp::cplx ha = r_a.reports[i].bands[k].tag_csi[j];
-        const dsp::cplx hp = r_p.reports[i].bands[k].tag_csi[j];
+        const dsp::cplx ha = r_a.reports[i].band(k).tag_csi[j];
+        const dsp::cplx hp = r_p.reports[i].band(k).tag_csi[j];
         EXPECT_NEAR(std::abs(ha - hp), 0.0, 0.03 * std::abs(ha) + 1e-4)
             << "anchor " << i << " band " << k << " antenna " << j;
       }
@@ -178,14 +180,15 @@ void ExpectRoundsBitIdentical(const net::MeasurementRound& a,
   for (std::size_t i = 0; i < a.reports.size(); ++i) {
     const anchor::CsiReport& ra = a.reports[i];
     const anchor::CsiReport& rb = b.reports[i];
-    ASSERT_EQ(ra.bands.size(), rb.bands.size());
-    for (std::size_t k = 0; k < ra.bands.size(); ++k) {
-      EXPECT_EQ(ra.bands[k].data_channel, rb.bands[k].data_channel);
-      EXPECT_EQ(ra.bands[k].tag_csi, rb.bands[k].tag_csi)
+    ASSERT_EQ(ra.band_count(), rb.band_count());
+    for (std::size_t k = 0; k < ra.band_count(); ++k) {
+      EXPECT_EQ(ra.band(k).data_channel, rb.band(k).data_channel);
+      EXPECT_TRUE(std::ranges::equal(ra.band(k).tag_csi, rb.band(k).tag_csi))
           << "anchor " << i << " band " << k;
-      EXPECT_EQ(ra.bands[k].master_csi, rb.bands[k].master_csi)
+      EXPECT_TRUE(
+          std::ranges::equal(ra.band(k).master_csi, rb.band(k).master_csi))
           << "anchor " << i << " band " << k;
-      EXPECT_EQ(ra.bands[k].rssi_db, rb.bands[k].rssi_db);
+      EXPECT_EQ(ra.band(k).rssi_db, rb.band(k).rssi_db);
     }
   }
 }
@@ -227,8 +230,8 @@ TEST(Measurement, FullPhyPlannedMatchesReferenceKernels) {
     const auto r_fast = planned.RunRound(tag, round);
     ASSERT_EQ(r_ref.reports.size(), r_fast.reports.size());
     for (std::size_t i = 0; i < r_ref.reports.size(); ++i) {
-      const auto& bands_ref = r_ref.reports[i].bands;
-      const auto& bands_fast = r_fast.reports[i].bands;
+      const auto bands_ref = r_ref.reports[i].bands();
+      const auto bands_fast = r_fast.reports[i].bands();
       ASSERT_EQ(bands_ref.size(), bands_fast.size());
       for (std::size_t k = 0; k < bands_ref.size(); ++k) {
         for (std::size_t j = 0; j < bands_ref[k].tag_csi.size(); ++j) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -60,14 +61,14 @@ void ExpectDatasetsBitIdentical(const Dataset& a, const Dataset& b) {
       EXPECT_EQ(ra.reports[j].anchor_id, rb.reports[j].anchor_id);
       EXPECT_EQ(ra.reports[j].is_master, rb.reports[j].is_master);
       EXPECT_EQ(ra.reports[j].round_id, rb.reports[j].round_id);
-      ASSERT_EQ(ra.reports[j].bands.size(), rb.reports[j].bands.size());
-      for (std::size_t k = 0; k < ra.reports[j].bands.size(); ++k) {
-        const anchor::BandMeasurement& ba = ra.reports[j].bands[k];
-        const anchor::BandMeasurement& bb = rb.reports[j].bands[k];
+      ASSERT_EQ(ra.reports[j].band_count(), rb.reports[j].band_count());
+      for (std::size_t k = 0; k < ra.reports[j].band_count(); ++k) {
+        const anchor::BandMeasurement& ba = ra.reports[j].band(k);
+        const anchor::BandMeasurement& bb = rb.reports[j].band(k);
         EXPECT_EQ(ba.data_channel, bb.data_channel);
         EXPECT_EQ(ba.freq_hz, bb.freq_hz);
-        EXPECT_EQ(ba.tag_csi, bb.tag_csi);
-        EXPECT_EQ(ba.master_csi, bb.master_csi);
+        EXPECT_TRUE(std::ranges::equal(ba.tag_csi, bb.tag_csi));
+        EXPECT_TRUE(std::ranges::equal(ba.master_csi, bb.master_csi));
         EXPECT_EQ(ba.rssi_db, bb.rssi_db);
       }
     }
