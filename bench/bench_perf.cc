@@ -4,13 +4,14 @@
 // localization engine.
 //
 // After the microbenchmarks, regression sweeps run on the fig9 workload:
-// a single-thread comparison of the Eq. 17 kernels (steering-plan vs naive
-// reference, ms per fused 4-anchor map), a rounds/sec engine sweep for
-// threads in {1, 2, 4}, and the full-PHY measurement stage (planned fast
-// path vs reference kernels, plus a measurement-thread sweep). Pass
-// --json=PATH to dump everything as machine-readable JSON (the perf
-// trajectory baseline), --sweep-rounds=N to size the batch, --no-micro to
-// skip the google-benchmark section, --mode=localize|fullphy|dataset|obs|
+// a single-thread comparison of the Eq. 17 kernels (steering-plan vs the
+// naive reference oracle, ms per fused 4-anchor map), a rounds/sec engine
+// sweep for threads in {1, 2, 4}, and the full-PHY measurement stage
+// (planned fast path vs reference kernels, plus a measurement-thread
+// sweep). Pass --json=PATH to dump everything as machine-readable JSON
+// (the perf trajectory baseline), --sweep-rounds=N to size the batch,
+// --no-micro to skip the google-benchmark section,
+// --mode=localize|fullphy|dataset|obs|
 // search|track|soak to run one sweep family only. The search sweep compares
 // the exhaustive and coarse-to-fine likelihood searches (ms per fused map)
 // and audits position parity across the whole dataset; --search-guard turns
@@ -73,6 +74,7 @@
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
+#include "oracles/reference.h"
 #include "phy/csi_extract.h"
 #include "phy/packet.h"
 #include "sim/dataset_io.h"
@@ -163,29 +165,33 @@ void BM_CorrectedChannels(benchmark::State& state) {
 }
 BENCHMARK(BM_CorrectedChannels);
 
-/// Fused 4-anchor likelihood map with the given Eq. 17 kernel. The
-/// steering-plan variant measures the steady state: plans are built on the
-/// first iteration and cached inside the localizer afterwards.
-void RunJointLikelihoodMap(benchmark::State& state,
-                           core::LikelihoodKernel kernel) {
+/// Fused 4-anchor likelihood map through `fused_map(localizer, corrected)`.
+/// The steering-plan variant measures the steady state: plans are built on
+/// the first iteration and cached inside the localizer afterwards.
+template <typename FusedMapFn>
+void RunJointLikelihoodMap(benchmark::State& state, FusedMapFn fused_map) {
   const sim::Dataset& dataset = SharedDataset();
   const core::CorrectedChannels corrected =
       core::ComputeCorrectedChannels(dataset.rounds[0]);
-  core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
-  config.spectra.kernel = kernel;
-  const core::Localizer localizer(dataset.deployment, config);
+  const core::Localizer localizer(dataset.deployment,
+                                  sim::PaperLocalizerConfig(dataset));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(localizer.FusedMap(corrected));
+    benchmark::DoNotOptimize(fused_map(localizer, corrected));
   }
 }
 
+dsp::Grid2D PlanFusedMap(const core::Localizer& localizer,
+                         const core::CorrectedChannels& corrected) {
+  return localizer.FusedMap(corrected);
+}
+
 void BM_JointLikelihoodMap(benchmark::State& state) {
-  RunJointLikelihoodMap(state, core::LikelihoodKernel::kSteeringPlan);
+  RunJointLikelihoodMap(state, PlanFusedMap);
 }
 BENCHMARK(BM_JointLikelihoodMap);
 
 void BM_JointLikelihoodMapReference(benchmark::State& state) {
-  RunJointLikelihoodMap(state, core::LikelihoodKernel::kReference);
+  RunJointLikelihoodMap(state, oracles::ReferenceFusedMap);
 }
 BENCHMARK(BM_JointLikelihoodMapReference);
 
@@ -256,18 +262,18 @@ struct KernelComparison {
 
 /// Times one fused likelihood map per kernel; at least `min_seconds` of
 /// repetitions each, single-threaded, same fig9 corrected channels.
+template <typename FusedMapFn>
 double TimeFusedMap(const sim::Dataset& dataset,
                     const core::CorrectedChannels& corrected,
-                    core::LikelihoodKernel kernel, double min_seconds = 0.5) {
-  core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
-  config.spectra.kernel = kernel;
-  const core::Localizer localizer(dataset.deployment, config);
-  benchmark::DoNotOptimize(localizer.FusedMap(corrected));  // warm-up/plans
+                    FusedMapFn fused_map, double min_seconds = 0.5) {
+  const core::Localizer localizer(dataset.deployment,
+                                  sim::PaperLocalizerConfig(dataset));
+  benchmark::DoNotOptimize(fused_map(localizer, corrected));  // warm-up/plans
   const auto start = std::chrono::steady_clock::now();
   std::size_t maps = 0;
   double elapsed = 0.0;
   do {
-    benchmark::DoNotOptimize(localizer.FusedMap(corrected));
+    benchmark::DoNotOptimize(fused_map(localizer, corrected));
     ++maps;
     elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)
@@ -277,7 +283,8 @@ double TimeFusedMap(const sim::Dataset& dataset,
 }
 
 /// The single-thread likelihood-map stage regression check: steering-plan
-/// kernel vs the naive reference kernel on the fig9 workload.
+/// kernel vs the naive reference kernel (the test oracle) on the fig9
+/// workload.
 KernelComparison RunKernelComparison() {
   std::cerr << "comparing likelihood-map kernels on the fig9 workload...\n";
   sim::DatasetOptions options;
@@ -289,9 +296,8 @@ KernelComparison RunKernelComparison() {
 
   KernelComparison cmp;
   cmp.reference_ms_per_map =
-      TimeFusedMap(dataset, corrected, core::LikelihoodKernel::kReference);
-  cmp.plan_ms_per_map =
-      TimeFusedMap(dataset, corrected, core::LikelihoodKernel::kSteeringPlan);
+      TimeFusedMap(dataset, corrected, oracles::ReferenceFusedMap);
+  cmp.plan_ms_per_map = TimeFusedMap(dataset, corrected, PlanFusedMap);
   cmp.speedup = cmp.reference_ms_per_map / cmp.plan_ms_per_map;
 
   std::cout << "\n=== likelihood-map stage (fig9 workload, 1 thread, fused "
@@ -586,9 +592,9 @@ SearchComparison RunSearchComparison(std::size_t coarse_stride) {
 
   core::LocalizerConfig exhaustive_config = sim::PaperLocalizerConfig(dataset);
   core::LocalizerConfig coarse_config = exhaustive_config;
-  coarse_config.spectra.search.mode = core::SearchMode::kCoarseToFine;
+  coarse_config.search.mode = core::SearchMode::kCoarseToFine;
   if (coarse_stride > 0) {
-    coarse_config.spectra.search.coarse_stride = coarse_stride;
+    coarse_config.search.coarse_stride = coarse_stride;
   }
   const core::Localizer exhaustive(dataset.deployment, exhaustive_config);
   const core::Localizer coarse(dataset.deployment, coarse_config);
@@ -778,8 +784,8 @@ TrackComparison RunTrackComparison(std::size_t locations,
   const sim::Dataset dataset = sim::GenerateDataset(scenario, options);
 
   core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
-  config.spectra.search.mode = core::SearchMode::kCoarseToFine;
-  if (coarse_stride > 0) config.spectra.search.coarse_stride = coarse_stride;
+  config.search.mode = core::SearchMode::kCoarseToFine;
+  if (coarse_stride > 0) config.search.coarse_stride = coarse_stride;
   const core::Localizer localizer(dataset.deployment, config);
 
   TrackComparison cmp;

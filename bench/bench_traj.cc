@@ -112,11 +112,11 @@ int main(int argc, char** argv) {
   series.push_back({"raw fixes", dsp::MakeCdf(summary.raw_errors)});
   series.push_back({"tracked", dsp::MakeCdf(summary.tracked_errors)});
 
-  // Gated search (needs the coarse strategy; exhaustive ignores gates).
+  // Gated search (needs the coarse search; exhaustive ignores gates).
   bool ran_gated = false;
   eval::TrajectorySummary gated_summary;
   TrajRun gated;
-  if (config.spectra.search.mode == core::SearchMode::kCoarseToFine) {
+  if (config.search.mode == core::SearchMode::kCoarseToFine) {
     gated = RunTracked(localizer, dataset, true, gate_sigmas, gate_margin);
     gated_summary = eval::SummarizeTrajectory(gated.points);
     series.push_back(

@@ -110,7 +110,7 @@ struct CommonFlags {
 
   /// Applies the search flags onto an existing localizer config.
   void Apply(core::LocalizerConfig& config) const {
-    config.spectra.search = MakeSearchConfig();
+    config.search = MakeSearchConfig();
   }
 };
 

@@ -7,17 +7,9 @@ namespace bloc::core {
 
 namespace {
 
-/// Same registry entries as the serial path in localizer.cc — the registry
-/// deduplicates by name, so both paths feed one set of stage histograms.
+/// Registry handles for the batch path; the per-round stage metrics are
+/// recorded inside Localizer::Locate.
 struct EngineMetrics {
-  obs::Counter& rounds = obs::GetCounter("bloc.localizer.rounds");
-  obs::Counter& empty_rounds = obs::GetCounter("bloc.localizer.empty_rounds");
-  obs::Histogram& filter_us = obs::GetHistogram("bloc.localizer.filter_us");
-  obs::Histogram& correct_us = obs::GetHistogram("bloc.localizer.correct_us");
-  obs::Histogram& anchor_map_us =
-      obs::GetHistogram("bloc.localizer.anchor_map_us");
-  obs::Histogram& fuse_us = obs::GetHistogram("bloc.localizer.fuse_us");
-  obs::Histogram& score_us = obs::GetHistogram("bloc.localizer.score_us");
   obs::Counter& batches = obs::GetCounter("bloc.engine.batches");
   obs::Histogram& batch_us = obs::GetHistogram("bloc.engine.batch_us");
 
@@ -40,59 +32,7 @@ LocalizationEngine::LocalizationEngine(Deployment deployment,
 }
 
 LocationResult LocalizationEngine::Locate(const net::MeasurementRound& round) {
-  const EngineMetrics& metrics = EngineMetrics::Get();
-  obs::TraceSpan round_span("localize.round", "bloc", round.round_id);
-  metrics.rounds.Inc();
-  LocalizerWorkspace& ws = workspaces_[0];
-  {
-    obs::TraceSpan span("localize.filter", "bloc");
-    obs::ScopedTimer timer(metrics.filter_us);
-    if (!localizer_.FilterInto(round, ws.view)) {
-      metrics.empty_rounds.Inc();
-      return LocationResult{};
-    }
-  }
-  {
-    obs::TraceSpan span("localize.correct", "bloc");
-    obs::ScopedTimer timer(metrics.correct_us);
-    localizer_.CorrectInto(ws.view, ws.corrected);
-    localizer_.FuseOrder(ws.corrected, ws.fuse_order);
-  }
-
-  // Coarse-to-fine rounds route through the (serial) search strategy: its
-  // Stage A/B decisions are sequential by construction, and the pruned
-  // refine stage is far below the parallel-map break-even point anyway.
-  if (localizer_.config().spectra.search.mode != SearchMode::kExhaustive) {
-    localizer_.search().BuildFusedInto(localizer_, ws);
-    obs::TraceSpan span("localize.score", "bloc");
-    obs::ScopedTimer timer(metrics.score_us);
-    return localizer_.ScoreFused(ws.fused, ws.corrected);
-  }
-
-  const std::size_t n = ws.fuse_order.size();
-  if (ws.anchor_maps.size() < n) ws.anchor_maps.resize(n);
-  if (ws.spectra.size() < n) ws.spectra.resize(n);
-  pool_.ParallelFor(n, [&](std::size_t i, std::size_t) {
-    obs::TraceSpan span("localize.anchor_map", "bloc",
-                        ws.corrected.anchors[ws.fuse_order[i]].anchor_id);
-    obs::ScopedTimer timer(metrics.anchor_map_us);
-    localizer_.AnchorMapInto(ws.corrected, ws.fuse_order[i],
-                             ws.anchor_maps[i], ws.spectra[i]);
-  });
-
-  // Fusion stays sequential in anchor-id order: floating-point addition is
-  // not associative, so summing in completion order would break the
-  // bit-identity guarantee with the serial path.
-  dsp::Grid2D& fused = ws.EnsureFused();
-  fused.Reset(localizer_.config().grid);
-  {
-    obs::TraceSpan span("localize.fuse", "bloc");
-    obs::ScopedTimer timer(metrics.fuse_us);
-    for (std::size_t i = 0; i < n; ++i) fused.Add(ws.anchor_maps[i]);
-  }
-  obs::TraceSpan span("localize.score", "bloc");
-  obs::ScopedTimer timer(metrics.score_us);
-  return localizer_.ScoreFused(ws.fused, ws.corrected);
+  return localizer_.Locate(round, workspaces_[0], &pool_);
 }
 
 std::vector<LocationResult> LocalizationEngine::LocateBatch(

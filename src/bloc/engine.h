@@ -1,9 +1,11 @@
 // LocalizationEngine: the staged BLoc pipeline on a fixed thread pool.
 //
+// Every round runs through Localizer::Locate; the engine only decides where.
 // Two axes of parallelism, both with deterministic, bit-identical output to
-// the serial Localizer::Locate path:
-//  - within one round, the per-anchor joint likelihood maps are computed
-//    concurrently and fused in a fixed order (ascending anchor id);
+// the serial path:
+//  - within one round (Locate), the pool is handed to Localizer::Locate,
+//    whose exhaustive search computes the per-anchor joint likelihood maps
+//    concurrently and fuses them in a fixed order (ascending anchor id);
 //  - across rounds, LocateBatch distributes rounds over the workers, each
 //    using its own preallocated LocalizerWorkspace, and writes results into
 //    index-matched slots (ordering never depends on completion order).
@@ -36,9 +38,10 @@ class LocalizationEngine {
   LocalizationEngine(Deployment deployment, LocalizerConfig config,
                      EngineOptions options = {});
 
-  /// Localizes one round. With SearchMode::kExhaustive the per-anchor maps
-  /// are computed in parallel; coarse-to-fine rounds run the serial search
-  /// strategy (bit-identical selected positions either way).
+  /// Localizes one round: Localizer::Locate with this engine's pool, so
+  /// with SearchMode::kExhaustive the per-anchor maps are computed in
+  /// parallel; the coarse-to-fine search runs sequentially (bit-identical
+  /// selected positions either way).
   LocationResult Locate(const net::MeasurementRound& round);
 
   /// Localizes many rounds, distributing them across the pool. results[i]

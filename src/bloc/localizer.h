@@ -4,8 +4,10 @@
 // The pipeline is split into explicit stages (filter -> correct -> per-anchor
 // spectra -> fuse -> score) that operate on a caller-owned
 // LocalizerWorkspace, so steady-state localization reuses every buffer
-// instead of reallocating per round. LocalizationEngine (bloc/engine.h) runs
-// the same stages across a thread pool with bit-identical results.
+// instead of reallocating per round. Localizer::Locate is the one place the
+// stages run in sequence; LocalizationEngine (bloc/engine.h) calls it on a
+// thread pool, fanning the per-anchor maps out over the pool's slots with
+// bit-identical results.
 #pragma once
 
 #include <array>
@@ -21,14 +23,18 @@
 #include "dsp/grid2d.h"
 #include "net/collector.h"
 
+namespace bloc::dsp {
+class ThreadPool;
+}
+
 namespace bloc::core {
 
 struct LocalizerConfig {
   /// Search region; typically the room plus a small margin.
   dsp::GridSpec grid{0.0, 0.0, 6.0, 5.0, 0.075};
   ScoringConfig scoring;
-  /// Eq. 17 kernel selection (steering-plan vs reference).
-  SpectraConfig spectra;
+  /// How the fused likelihood surface is searched (DESIGN.md §5e).
+  SearchConfig search;
   /// Use only the first N antennas of each anchor (0 = all) — §8.4.
   std::size_t max_antennas = 0;
   /// Restrict to these data channels (empty = all present) — §8.5/8.6.
@@ -49,19 +55,19 @@ struct LocationResult {
   std::shared_ptr<const dsp::Grid2D> fused_map;
 };
 
-/// Per-round outcome of the search strategy, written by BuildFusedInto and
-/// read by the tests and the obs counters. "Cells" count (cell, anchor)
-/// kernel evaluations; exhaustive rounds evaluate cells x anchors of them.
 /// Why a coarse-to-fine round ran exhaustively instead.
 enum class FallbackReason : std::uint8_t {
   kNone = 0,        // the coarse path produced the map
-  kConfig,          // inapplicable configuration (kernel/stride/threshold)
+  kConfig,          // inapplicable configuration (stride/inflation/threshold)
   kDegenerate,      // an anchor map or the fused surface had no positive max
   kFractionGuard,   // survivor set too large for pruning to pay
   kBoundViolation,  // a refined value exceeded its block bound (canary)
   kGateMiss,        // the search gate held no usable likelihood mass
 };
 
+/// Per-round outcome of the map stage's search, written by FusedMapInto and
+/// read by the tests and the obs counters. "Cells" count (cell, anchor)
+/// kernel evaluations; exhaustive rounds evaluate cells x anchors of them.
 struct SearchStats {
   /// The coarse-to-fine path produced this round's map.
   bool used_coarse = false;
@@ -105,14 +111,14 @@ struct SearchScratch {
 };
 
 /// Optional per-round search gate (track-while-localize, DESIGN.md §5g):
-/// when active, the coarse-to-fine strategy restricts the survivor search
+/// when active, the coarse-to-fine search restricts the survivor search
 /// to the blocks intersecting the square of half-width `radius_m` around
 /// `center` — typically the Kalman prediction, sized by its covariance.
 /// Refined cells keep the exhaustive path's exact per-cell values and the
 /// per-anchor normalizers become the exact maxima over the gated region;
 /// the map is zero outside. When the gate holds no usable likelihood mass
 /// the round re-runs ungated (FallbackReason::kGateMiss is recorded in
-/// SearchStats::gate_fallback). Ignored by the exhaustive strategy; with
+/// SearchStats::gate_fallback). Ignored by the exhaustive search; with
 /// `active` false the pipeline is bit-identical to the ungated path.
 struct SearchGate {
   bool active = false;
@@ -129,9 +135,10 @@ struct LocalizerWorkspace {
   /// Anchor indices into `corrected.anchors` in fusion order (ascending
   /// anchor id) — fixed so threaded and serial runs fuse identically.
   std::vector<std::size_t> fuse_order;
-  /// Per-anchor map slots (the serial path reuses slot 0; the engine uses
-  /// one slot per anchor so maps can be computed concurrently).
+  /// Per-anchor maps of the exhaustive search, in fuse order (one slot per
+  /// anchor, so a fanned-out round computes them concurrently).
   std::vector<dsp::Grid2D> anchor_maps;
+  /// Kernel scratch, one per fan-out slot (slot 0 when run inline).
   std::vector<SpectraWorkspace> spectra;
   /// Fused map, shared-ptr-owned so keep_map hands the round's map to the
   /// result without a deep copy; the next round allocates a fresh grid only
@@ -162,32 +169,39 @@ class Localizer {
   LocationResult Locate(const net::MeasurementRound& round) const;
 
   /// Allocation-free variant: all scratch lives in the caller's workspace.
-  /// Bit-identical to Locate(round).
+  /// Bit-identical to Locate(round). With a `pool`, the exhaustive search
+  /// computes the per-anchor maps across its slots (null runs them inline);
+  /// the coarse-to-fine search is sequential and ignores it.
   LocationResult Locate(const net::MeasurementRound& round,
-                        LocalizerWorkspace& ws) const;
+                        LocalizerWorkspace& ws,
+                        const dsp::ThreadPool* pool = nullptr) const;
 
   /// The corrected channels after anchor/band filtering — exposed for
   /// diagnostics and the microbenchmarks.
   CorrectedChannels CorrectedFor(const net::MeasurementRound& round) const;
 
   /// Builds the fused (cross-anchor) likelihood map without peak selection,
-  /// via the configured search strategy. With SearchMode::kCoarseToFine the
+  /// via the configured search. With SearchMode::kCoarseToFine the
   /// result is partial: exact in every refined block, zero elsewhere — peak
   /// selection over it is bit-identical (see DESIGN.md §5e).
   dsp::Grid2D FusedMap(const CorrectedChannels& corrected) const;
 
   /// Allocation-free map stage over an already-corrected round: (re)derives
-  /// ws.fuse_order from ws.corrected and runs the configured search
-  /// strategy into ws.EnsureFused(). The map-stage body of Locate, exposed
-  /// for the benchmarks.
-  void FusedMapInto(LocalizerWorkspace& ws) const;
+  /// ws.fuse_order from ws.corrected and runs the configured search into
+  /// ws.EnsureFused(), fanned out over `pool` as in Locate. The map-stage
+  /// body of Locate, exposed for the benchmarks.
+  void FusedMapInto(LocalizerWorkspace& ws,
+                    const dsp::ThreadPool* pool = nullptr) const;
 
-  // --- Pipeline stages, in execution order (used by LocalizationEngine) ---
+  // --- Pipeline stages, in execution order (Locate runs them in turn) ---
 
-  /// Filter: selects the allowed reports/bands of `round` into `view`
-  /// (index lists, no copies). Returns false when nothing usable survives —
-  /// no reports kept, or the master's report was filtered away — in which
-  /// case the caller should emit the sentinel LocationResult.
+  /// Filter: selects the usable reports/bands of `round` into `view`
+  /// (index lists, no copies). Drops reports from anchors that are not in
+  /// the deployment or not allowed, and bands on a disallowed channel or
+  /// holding a non-finite tag or master CSI sample. Returns false when
+  /// nothing usable survives — no reports kept, or the master's report was
+  /// filtered away — in which case the caller should emit the sentinel
+  /// LocationResult.
   bool FilterInto(const net::MeasurementRound& round, RoundView& view) const;
 
   /// Correct: phase-offset-cancelled channels for the filtered view.
@@ -207,7 +221,8 @@ class Localizer {
 
   /// The Eq. 17 evaluation inputs of `corrected.anchors[anchor_index]`
   /// under this deployment/config — what AnchorMapInto evaluates. Exposed
-  /// for the search strategies, which evaluate cell subsets directly.
+  /// for the coarse-to-fine search, which evaluates cell subsets directly,
+  /// and for the reference oracles.
   SpectraInput SpectraInputFor(const CorrectedChannels& corrected,
                                std::size_t anchor_index) const;
 
@@ -226,9 +241,6 @@ class Localizer {
   /// (the engine's workers all hit this one cache).
   SteeringPlanCache& plan_cache() const { return *plan_cache_; }
 
-  /// The search strategy the config selected (process-wide singleton).
-  const SearchStrategy& search() const { return *search_; }
-
  private:
   Deployment deployment_;
   LocalizerConfig config_;
@@ -238,7 +250,6 @@ class Localizer {
   std::array<bool, 256> channel_allowed_{};
   bool filter_channels_ = false;
   std::shared_ptr<SteeringPlanCache> plan_cache_;
-  const SearchStrategy* search_ = nullptr;
 };
 
 }  // namespace bloc::core

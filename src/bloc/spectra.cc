@@ -47,58 +47,7 @@ std::size_t EffectiveAntennas(const SpectraInput& input) {
 
 }  // namespace detail
 
-using detail::BuildComb;
 using detail::EffectiveAntennas;
-
-namespace {
-
-/// Caches the antenna positions for the active antennas.
-void CacheAntennaPositions(const SpectraInput& input, std::size_t antennas,
-                           SpectraWorkspace& ws) {
-  ws.ant_pos.resize(antennas);
-  for (std::size_t j = 0; j < antennas; ++j) {
-    ws.ant_pos[j] = input.geometry.AntennaPosition(j);
-  }
-}
-
-/// sum_k alpha_jk e^{+j 2 pi f_k D / c} via base+step rotor walk.
-cplx BandSum(const dsp::CVec& dense, const SpectraWorkspace& ws,
-             double relative_d) {
-  const double base_phi = kTwoPi * ws.comb_f0 * relative_d / kSpeedOfLight;
-  const double step_phi = kTwoPi * ws.comb_step * relative_d / kSpeedOfLight;
-  cplx rotor = dsp::Rotor(base_phi);
-  const cplx step = dsp::Rotor(step_phi);
-  cplx acc{0, 0};
-  for (std::size_t k = 0; k < ws.comb_steps; ++k) {
-    acc += dense[k] * rotor;
-    rotor *= step;
-  }
-  return acc;
-}
-
-}  // namespace
-
-void JointLikelihoodMapInto(const SpectraInput& input, dsp::Grid2D& grid,
-                            SpectraWorkspace& ws) {
-  const std::size_t antennas = EffectiveAntennas(input);
-  BuildComb(input, antennas, ws);
-  CacheAntennaPositions(input, antennas, ws);
-
-  for (std::size_t row = 0; row < grid.rows(); ++row) {
-    const double y = grid.YOf(row);
-    for (std::size_t col = 0; col < grid.cols(); ++col) {
-      const geom::Vec2 x{grid.XOf(col), y};
-      const double d_ref = geom::Distance(x, input.master_ref_antenna);
-      cplx acc{0, 0};
-      for (std::size_t j = 0; j < antennas; ++j) {
-        const double d = geom::Distance(x, ws.ant_pos[j]);
-        const double relative = d - d_ref - input.master_ref_distance;
-        acc += BandSum(ws.dense[j], ws, relative);
-      }
-      grid.At(col, row) = std::abs(acc);
-    }
-  }
-}
 
 dsp::Grid2D JointLikelihoodMap(const SpectraInput& input,
                                const dsp::GridSpec& spec) {

@@ -7,12 +7,11 @@
 // distance-only (Eq. 16) maps are provided for analysis and the Fig. 6
 // illustrations.
 //
-// Two kernels evaluate Eq. 17. The reference kernel (JointLikelihoodMapInto
-// without a plan) recomputes distances and rotors per cell; the steering-plan
-// kernel (bloc/steering_plan.h) reads them from a precomputed SteeringPlan
-// and reduces steady-state work to a vectorized complex MAC. Outputs agree
-// cell-for-cell; the reference kernel stays selectable via SpectraConfig for
-// parity testing.
+// Eq. 17 runs on the steering-plan kernel (bloc/steering_plan.h): per-cell
+// distances and rotors are read from a precomputed SteeringPlan, so the
+// steady-state work is a vectorized complex MAC. The per-cell reference
+// kernel it replaced lives on as a test oracle (tests/oracles), which the
+// parity tests pin the plan kernel against.
 #pragma once
 
 #include <span>
@@ -41,18 +40,11 @@ struct SpectraInput {
   std::size_t max_antennas = 0;
 };
 
-/// Which Eq. 17 implementation the localizer runs.
-enum class LikelihoodKernel {
-  /// Precomputed steering plan + split-complex MAC (the default).
-  kSteeringPlan,
-  /// Per-cell sqrt/sincos naive loop; kept for parity testing.
-  kReference,
-};
-
 /// How the likelihood surface is searched for the position estimate.
 enum class SearchMode {
-  /// Evaluate every cell of every anchor map at full resolution (the
-  /// reference behavior).
+  /// Evaluate every cell of every anchor map at full resolution. The fused
+  /// map is exact everywhere and the peak list complete — what keep_map
+  /// users and the shortest-distance scorer (Fig. 12) read.
   kExhaustive,
   /// Hierarchical coarse-to-fine: evaluate a strided coarse level, bound
   /// each block from its coarse neighborhood, refine only the blocks that
@@ -98,19 +90,13 @@ struct SearchConfig {
   bool parity_check = false;
 };
 
-struct SpectraConfig {
-  LikelihoodKernel kernel = LikelihoodKernel::kSteeringPlan;
-  SearchConfig search;
-};
-
 /// Scratch buffers for the likelihood-map kernels: the dense 2 MHz band
-/// comb, the antenna-position cache and the split-complex accumulators of
-/// the steering-plan kernel. Reusing one workspace across calls makes the
-/// in-place map variants allocation-free in steady state.
+/// comb and the split-complex accumulators of the steering-plan kernel.
+/// Reusing one workspace across calls makes the in-place map variants
+/// allocation-free in steady state.
 struct SpectraWorkspace {
   std::vector<dsp::CVec> dense;       // comb values per antenna
   std::vector<std::size_t> k_of;      // band index -> comb step
-  std::vector<geom::Vec2> ant_pos;    // antenna positions
   double comb_f0 = 0.0;
   double comb_step = 2.0e6;           // BLE channel spacing
   std::size_t comb_steps = 0;
@@ -122,28 +108,6 @@ struct SpectraWorkspace {
   dsp::SplitComplexVec gbase;
   dsp::SplitComplexVec gstep;
 };
-
-class Localizer;
-struct LocalizerWorkspace;
-
-/// Strategy for turning one round's corrected channels into the fused
-/// likelihood map (the map stage of the pipeline). Implementations live in
-/// localizer.cc; instances are stateless process-wide singletons — all
-/// per-round scratch stays in the caller's LocalizerWorkspace.
-class SearchStrategy {
- public:
-  virtual ~SearchStrategy() = default;
-  virtual SearchMode mode() const = 0;
-  /// Computes the round's fused (cross-anchor) map into ws.EnsureFused().
-  /// Requires ws.corrected and ws.fuse_order to be populated (the filter
-  /// and correct stages have run). Peak selection over the result is
-  /// bit-identical across strategies (see SearchMode::kCoarseToFine).
-  virtual void BuildFusedInto(const Localizer& localizer,
-                              LocalizerWorkspace& ws) const = 0;
-};
-
-/// The singleton strategy implementing `mode`.
-const SearchStrategy& GetSearchStrategy(SearchMode mode);
 
 namespace detail {
 /// Number of antennas the kernels actually process for `input`.
@@ -159,12 +123,6 @@ void BuildComb(const SpectraInput& input, std::size_t antennas,
 /// kernel with a plan built on the fly).
 dsp::Grid2D JointLikelihoodMap(const SpectraInput& input,
                                const dsp::GridSpec& spec);
-
-/// In-place reference kernel: overwrites every cell of `grid` (whose spec
-/// defines the evaluation points) using `ws` for scratch. Bit-identical to
-/// JointLikelihoodMap over the same spec; recomputes all geometry per cell.
-void JointLikelihoodMapInto(const SpectraInput& input, dsp::Grid2D& grid,
-                            SpectraWorkspace& ws);
 
 /// Eq. 15 mapped to space: per-band Bartlett angle spectra evaluated at the
 /// bearing of each grid cell, summed incoherently over bands.

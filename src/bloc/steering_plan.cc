@@ -108,8 +108,8 @@ SteeringPlan::SteeringPlan(SteeringPlanKey key) : key_(std::move(key)) {
     step_[j].Resize(cells_);
   }
 
-  // The phase expressions replicate the reference kernel (spectra.cc
-  // BandSum) term-for-term so both kernels agree to the last ulp.
+  // The phase expressions replicate the per-cell reference kernel (the
+  // oracle in tests/oracles) term-for-term so both agree to the last ulp.
   for (std::size_t row = 0; row < rows; ++row) {
     const double y = spec.YOf(row);
     for (std::size_t col = 0; col < cols; ++col) {

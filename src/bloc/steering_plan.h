@@ -154,12 +154,10 @@ class SteeringPlanCache {
 
   /// Number of plans built so far (distinct keys seen, plus rebuilds of
   /// evicted keys). The amortization tests assert this stops growing after
-  /// the first round.
-  /// Deprecated: thin wrapper over per-instance state kept for existing
-  /// callers; new code should read the `bloc.steering_plan_cache.*`
-  /// registry counters (obs/metrics.h) instead.
+  /// the first round. Exact for this instance, unlike the process-wide
+  /// `bloc.steering_plan_cache.*` registry counters (obs/metrics.h).
   std::size_t builds() const;
-  /// Total lookups (hits + builds). Deprecated: see builds().
+  /// Total lookups (hits + builds) on this instance.
   std::size_t lookups() const;
 
   /// Plans evicted by the LRU bounds so far (also published as the
@@ -188,8 +186,8 @@ class SteeringPlanCache {
   obs::Gauge& bytes_gauge_;
 };
 
-/// Steering-plan variant of JointLikelihoodMapInto (spectra.h): identical
-/// output to the reference kernel, but all geometry work comes from `plan`.
+/// Eq. 17 over every cell of `grid` (spectra.h), with all geometry work
+/// read from `plan`; agrees with the per-cell reference oracle to < 1e-9.
 /// `grid` must already have the plan's spec. Throws std::invalid_argument
 /// when `plan` does not match (input, grid).
 void JointLikelihoodMapInto(const SpectraInput& input, const SteeringPlan& plan,

@@ -70,12 +70,11 @@ class FftPlanCache {
   std::shared_ptr<const FftPlan> GetOrBuild(std::size_t n);
 
   /// Number of plans built (== distinct sizes seen). The amortization tests
-  /// assert this stops growing after warm-up.
-  /// Deprecated: thin wrapper over per-instance state kept for existing
-  /// callers; new code should read the `dsp.fft_plan_cache.*` registry
-  /// counters (obs/metrics.h) instead.
+  /// assert this stops growing after warm-up. Exact for this instance,
+  /// unlike the process-wide `dsp.fft_plan_cache.*` registry counters
+  /// (obs/metrics.h).
   std::size_t builds() const;
-  /// Total lookups (hits + builds). Deprecated: see builds().
+  /// Total lookups (hits + builds) on this instance.
   std::size_t lookups() const;
 
  private:

@@ -60,10 +60,8 @@ LocalizationService::LocalizationService(core::Deployment deployment,
   for (std::size_t w = 0; w < options_.assembler_threads; ++w) {
     wakes_.push_back(std::make_unique<AssemblerWake>());
   }
-  auto ids = std::make_shared<std::vector<std::uint32_t>>(
-      deployment.AnchorIds());
-  std::sort(ids->begin(), ids->end());
-  anchor_view_ = std::move(ids);
+  anchor_ids_ = deployment.AnchorIds();
+  std::sort(anchor_ids_.begin(), anchor_ids_.end());
   accepting_.store(true, std::memory_order_release);
 }
 
@@ -151,18 +149,9 @@ void LocalizationService::OnMessage(net::Message&& msg) {
     Ingest(0, std::move(report->report));
     return;
   }
-  if (const auto* hello = std::get_if<net::AnchorHelloMsg>(&msg)) {
-    std::lock_guard lock(anchors_mutex_);
-    auto next = std::make_shared<std::vector<std::uint32_t>>(*anchor_view_);
-    const auto it =
-        std::lower_bound(next->begin(), next->end(), hello->anchor_id);
-    if (it == next->end() || *it != hello->anchor_id) {
-      next->insert(it, hello->anchor_id);
-      anchor_view_ = std::move(next);  // new sessions see the new view
-    }
-    return;
-  }
-  // LocationEstimateMsg flows server -> clients; ignore on ingest.
+  // AnchorHelloMsg carries nothing the deployment does not already fix
+  // (see OnMessage in service.h); LocationEstimateMsg flows server ->
+  // clients. Both are ignored on ingest.
 }
 
 std::optional<PositionUpdate> LocalizationService::Poll(std::uint64_t tag_id) {
@@ -324,16 +313,13 @@ void LocalizationService::Assemble(std::size_t worker, TagSessionShard& shard,
   TagSession& session = it->second;
   if (created) {
     session.tracker = track::KalmanTracker(options_.kalman);
-    std::lock_guard anchors_lock(anchors_mutex_);
-    session.anchors = anchor_view_;
   }
   session.last_activity_ns = frame.ingest_ns;
-  const std::vector<std::uint32_t>& anchors = *session.anchors;
-  if (!std::binary_search(anchors.begin(), anchors.end(),
+  if (!std::binary_search(anchor_ids_.begin(), anchor_ids_.end(),
                           frame.report.anchor_id)) {
     refused_frames_.fetch_add(1, std::memory_order_relaxed);
     metrics.refused.Inc();
-    return;  // not part of this session's registered-anchor view
+    return;  // not an anchor of the deployment
   }
 
   const std::uint64_t round_id = frame.report.round_id;
@@ -358,7 +344,7 @@ void LocalizationService::Assemble(std::size_t worker, TagSessionShard& shard,
                    .emplace(round_id,
                             AssemblingRound{frame.ingest_ns, obs::NowNs(), {}})
                    .first;
-    round_it->second.reports.reserve(anchors.size());
+    round_it->second.reports.reserve(anchor_ids_.size());
   }
 
   AssemblingRound& round = round_it->second;
@@ -370,7 +356,7 @@ void LocalizationService::Assemble(std::size_t worker, TagSessionShard& shard,
     }
   }
   round.reports.push_back(std::move(frame.report));
-  if (round.reports.size() == anchors.size()) {
+  if (round.reports.size() == anchor_ids_.size()) {
     AssemblingRound completed = std::move(round);
     session.assembling.erase(round_it);
     session.inflight += 1;

@@ -166,8 +166,9 @@ class LocalizationService : public net::MessageSink {
   bool Ingest(std::uint64_t tag_id, anchor::CsiReport report);
 
   /// Transport entry point. TagCsiReportMsg routes to its tag's session;
-  /// a plain CsiReportMsg is adopted as tag 0 (single-tenant drop-in);
-  /// AnchorHelloMsg (re)registers the anchor view used by new sessions.
+  /// a plain CsiReportMsg is adopted as tag 0 (single-tenant drop-in).
+  /// AnchorHelloMsg is ignored: the anchor set is the deployment's, fixed
+  /// at construction, since the localizer has no pose for any other anchor.
   /// Reports are moved into the ring, not copied.
   void OnMessage(net::Message&& msg) override;
 
@@ -252,10 +253,9 @@ class LocalizationService : public net::MessageSink {
   core::LocalizationEngine engine_;
   std::vector<std::unique_ptr<TagSessionShard>> shards_;
 
-  /// Anchor view stamped into new sessions: deployment anchors at
-  /// construction, replaced by a fresh snapshot on AnchorHello.
-  std::mutex anchors_mutex_;
-  std::shared_ptr<const std::vector<std::uint32_t>> anchor_view_;
+  /// The deployment's anchor ids, sorted: a round is complete once each
+  /// has reported, and reports from any other anchor are refused.
+  std::vector<std::uint32_t> anchor_ids_;
 
   std::function<void(const PositionUpdate&)> callback_;
 

@@ -1,9 +1,9 @@
 // Per-tag session state for the multi-tenant localization service
-// (DESIGN.md §5f): tag id -> registered-anchor view -> in-flight round
-// assembly, partitioned into N independent shards keyed by hash(tag_id).
-// Each shard owns one bounded lock-free ingest ring (producers never take a
-// lock) and one mutex covering its session table — taken only by the
-// shard's assembler and by Poll(), never by another shard's traffic.
+// (DESIGN.md §5f): tag id -> in-flight round assembly, partitioned into N
+// independent shards keyed by hash(tag_id). Each shard owns one bounded
+// lock-free ingest ring (producers never take a lock) and one mutex
+// covering its session table — taken only by the shard's assembler and by
+// Poll(), never by another shard's traffic.
 #pragma once
 
 #include <array>
@@ -76,12 +76,10 @@ struct AssemblingRound {
   std::vector<anchor::CsiReport> reports;
 };
 
-/// Per-tag session: the registered-anchor view this tag's rounds must
-/// satisfy, rounds under assembly, and the Poll() backlog. Lives inside one
-/// shard; round-timeout GC and idle expiry keep both maps bounded.
+/// Per-tag session: rounds under assembly and the Poll() backlog. Lives
+/// inside one shard; round-timeout GC and idle expiry keep both maps
+/// bounded.
 struct TagSession {
-  /// Anchors whose reports complete a round (sorted ids, shared snapshot).
-  std::shared_ptr<const std::vector<std::uint32_t>> anchors;
   /// round_id -> partial round; std::map so the oldest (lowest) round id is
   /// O(1) to find for the shed-oldest policy.
   std::map<std::uint64_t, AssemblingRound> assembling;

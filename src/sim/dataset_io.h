@@ -115,9 +115,8 @@ class DatasetStore {
 
   std::filesystem::path PathFor(std::uint64_t fingerprint) const;
   const std::filesystem::path& directory() const { return dir_; }
-  /// Deprecated: thin wrappers over per-instance state kept for existing
-  /// callers; new code should read the `sim.dataset_store.*` registry
-  /// counters (obs/metrics.h) instead.
+  /// Cache hits and misses of this store, exact per instance (the
+  /// `sim.dataset_store.*` registry counters are process-wide).
   std::size_t hits() const { return hits_; }
   std::size_t misses() const { return misses_; }
   /// Misses caused by an existing-but-unusable cache entry (corrupt,

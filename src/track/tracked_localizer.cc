@@ -24,8 +24,7 @@ TrackedFix TrackedLocalizer::Locate(const net::MeasurementRound& round,
   const bool can_gate =
       config_.gate_search && tracker_.initialized() &&
       accepted_fixes_ >= config_.warmup_fixes &&
-      localizer_->config().spectra.search.mode ==
-          core::SearchMode::kCoarseToFine;
+      localizer_->config().search.mode == core::SearchMode::kCoarseToFine;
   if (can_gate) {
     const KalmanPrediction pred = tracker_.Predict(std::max(dt, 0.0));
     ws.gate.active = true;

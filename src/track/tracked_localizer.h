@@ -20,7 +20,7 @@ namespace bloc::track {
 struct TrackedLocalizerConfig {
   KalmanConfig kalman;
   /// Feed the prediction into the search as a gate. Only effective with
-  /// SearchMode::kCoarseToFine; the exhaustive strategy ignores gates.
+  /// SearchMode::kCoarseToFine; the exhaustive search ignores gates.
   bool gate_search = true;
   /// Gate half-width = gate_sigmas x max per-axis predicted std +
   /// gate_margin_m, floored at min_gate_radius_m. The margin absorbs

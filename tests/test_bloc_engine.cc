@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "bloc/engine.h"
+#include "oracles/reference.h"
 #include "sim/experiment.h"
 
 namespace bloc::core {
@@ -94,6 +98,35 @@ TEST(LocalizationEngine, KeepMapSurvivesTheEnginePath) {
   for (const LocationResult& r : results) {
     ASSERT_NE(r.fused_map, nullptr);
     EXPECT_GT(r.fused_map->Max(), 0.0);
+  }
+}
+
+TEST(LocalizationEngine, FanOutFusedMapMatchesSerialAndOracle) {
+  LocalizerConfig config = Config();
+  config.keep_map = true;
+  const Localizer serial(Rounds().deployment, config);
+  LocalizationEngine four(Rounds().deployment, config, {.threads = 4});
+  for (std::size_t i = 0; i < 4; ++i) {
+    const net::MeasurementRound& round = Rounds().rounds[i];
+    const LocationResult fanned = four.Locate(round);
+    const LocationResult inline_result = serial.Locate(round);
+    const LocationResult reference = oracles::ReferenceLocate(serial, round);
+    ExpectIdentical(fanned, inline_result);
+    ASSERT_NE(fanned.fused_map, nullptr);
+    ASSERT_NE(inline_result.fused_map, nullptr);
+    ASSERT_NE(reference.fused_map, nullptr);
+    EXPECT_EQ(fanned.fused_map->data(), inline_result.fused_map->data());
+    ASSERT_EQ(fanned.fused_map->data().size(),
+              reference.fused_map->data().size());
+    double max_diff = 0.0;
+    for (std::size_t c = 0; c < fanned.fused_map->data().size(); ++c) {
+      max_diff = std::max(max_diff, std::abs(fanned.fused_map->data()[c] -
+                                             reference.fused_map->data()[c]));
+    }
+    EXPECT_LT(max_diff, 1e-9) << "round " << i;
+    EXPECT_EQ(fanned.position.x, reference.position.x);
+    EXPECT_EQ(fanned.position.y, reference.position.y);
+    EXPECT_EQ(fanned.peaks.size(), reference.peaks.size());
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "bloc/localizer.h"
 #include "sim/experiment.h"
 #include "sim/measurement.h"
@@ -107,11 +110,85 @@ TEST(Localizer, CorrectedForExposesFilteredBands) {
   EXPECT_EQ(corrected.num_bands(), 3u);
 }
 
-TEST(Localizer, UnknownAnchorInRoundThrows) {
+/// Bit-identical comparison of two fixes.
+void ExpectSameFix(const LocationResult& a, const LocationResult& b) {
+  EXPECT_EQ(a.position.x, b.position.x);
+  EXPECT_EQ(a.position.y, b.position.y);
+  EXPECT_EQ(a.score, b.score);
+  EXPECT_EQ(a.bands_used, b.bands_used);
+  EXPECT_EQ(a.anchors_used, b.anchors_used);
+  EXPECT_EQ(a.peaks.size(), b.peaks.size());
+}
+
+/// `report` without its band `skip`.
+anchor::CsiReport WithoutBand(const anchor::CsiReport& report,
+                              std::size_t skip) {
+  anchor::CsiReport out;
+  out.anchor_id = report.anchor_id;
+  out.is_master = report.is_master;
+  out.round_id = report.round_id;
+  for (std::size_t k = 0; k < report.band_count(); ++k) {
+    if (k != skip) out.AddBand(report.band(k));
+  }
+  return out;
+}
+
+TEST(Localizer, UnknownAnchorReportIsSkipped) {
+  const Localizer localizer(Los().deployment, BaseConfig());
+  const LocationResult clean = localizer.Locate(Los().round);
+
+  // An extra report from an anchor the deployment has no pose for.
+  net::MeasurementRound extra = Los().round;
+  extra.reports.push_back(extra.reports[1]);
+  extra.reports.back().anchor_id = 77;
+  ExpectSameFix(localizer.Locate(extra), clean);
+
+  // A known anchor's report relabelled: the round runs on the other three.
+  net::MeasurementRound relabelled = Los().round;
+  relabelled.reports[1].anchor_id = 77;
+  net::MeasurementRound three = Los().round;
+  three.reports.erase(three.reports.begin() + 1);
+  const LocationResult got = localizer.Locate(relabelled);
+  EXPECT_EQ(got.anchors_used, 3u);
+  ExpectSameFix(got, localizer.Locate(three));
+}
+
+TEST(Localizer, FusedMapRejectsUnknownAnchor) {
+  // FusedMap takes channels that never went through FilterInto.
   const Localizer localizer(Los().deployment, BaseConfig());
   net::MeasurementRound round = Los().round;
   round.reports[1].anchor_id = 77;
-  EXPECT_THROW(localizer.Locate(round), std::invalid_argument);
+  EXPECT_THROW(localizer.FusedMap(ComputeCorrectedChannels(round)),
+               std::invalid_argument);
+}
+
+TEST(Localizer, NonFiniteCsiDropsTheBand) {
+  const Localizer localizer(Los().deployment, BaseConfig());
+  constexpr std::size_t kBand = 5;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t r = 0; r < Los().round.reports.size(); ++r) {
+    const anchor::CsiReport& report = Los().round.reports[r];
+    net::MeasurementRound expected_round = Los().round;
+    expected_round.reports[r] = WithoutBand(report, kBand);
+    const LocationResult expected = localizer.Locate(expected_round);
+    ASSERT_EQ(expected.bands_used, 36u);
+
+    // A NaN tag sample, on the master's report and on every slave's.
+    net::MeasurementRound tag_nan = Los().round;
+    tag_nan.reports[r].mutable_band(kBand).tag_csi[1] = {nan, 0.0};
+    const LocationResult got = localizer.Locate(tag_nan);
+    EXPECT_TRUE(std::isfinite(got.score)) << "report " << r;
+    ExpectSameFix(got, expected);
+
+    // An infinite sample of the overheard master response (slaves only).
+    if (report.is_master) continue;
+    net::MeasurementRound master_inf = Los().round;
+    master_inf.reports[r].mutable_band(kBand).master_csi[0] = {0.0, inf};
+    const LocationResult got_master = localizer.Locate(master_inf);
+    EXPECT_TRUE(std::isfinite(got_master.score)) << "report " << r;
+    ExpectSameFix(got_master, expected);
+  }
 }
 
 TEST(Localizer, PeaksArePopulated) {

@@ -35,7 +35,7 @@ LocalizerConfig ExhaustiveConfig(const sim::Dataset& dataset) {
 
 LocalizerConfig CoarseConfig(const sim::Dataset& dataset) {
   LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
-  config.spectra.search.mode = SearchMode::kCoarseToFine;
+  config.search.mode = SearchMode::kCoarseToFine;
   return config;
 }
 
@@ -190,7 +190,7 @@ TEST(Search, DescentFindsExactPerAnchorMaximum) {
 
 TEST(Search, StrideBelowTwoFallsBackWithConfigReason) {
   LocalizerConfig config = CoarseConfig(Fig9().dataset);
-  config.spectra.search.coarse_stride = 1;
+  config.search.coarse_stride = 1;
   const Localizer coarse(Fig9().dataset.deployment, config);
   const Localizer exhaustive(Fig9().dataset.deployment,
                              ExhaustiveConfig(Fig9().dataset));
@@ -200,13 +200,13 @@ TEST(Search, StrideBelowTwoFallsBackWithConfigReason) {
   EXPECT_FALSE(ws.search.stats.used_coarse);
   EXPECT_TRUE(ws.search.stats.fell_back);
   EXPECT_EQ(ws.search.stats.fallback_reason, FallbackReason::kConfig);
-  // The fallback runs the exhaustive strategy: the whole result matches.
+  // The fallback runs the exhaustive search: the whole result matches.
   ExpectSamePosition(got, exhaustive.Locate(Fig9().dataset.rounds[0]));
 }
 
 TEST(Search, ZeroRefineBudgetTripsFractionGuard) {
   LocalizerConfig config = CoarseConfig(Fig9().dataset);
-  config.spectra.search.max_refine_fraction = 0.0;
+  config.search.max_refine_fraction = 0.0;
   const Localizer coarse(Fig9().dataset.deployment, config);
   const Localizer exhaustive(Fig9().dataset.deployment,
                              ExhaustiveConfig(Fig9().dataset));
@@ -220,7 +220,7 @@ TEST(Search, ZeroRefineBudgetTripsFractionGuard) {
 
 TEST(Search, ParityCheckModePassesOnTestbedRounds) {
   LocalizerConfig config = CoarseConfig(Fig9().dataset);
-  config.spectra.search.parity_check = true;
+  config.search.parity_check = true;
   const Localizer localizer(Fig9().dataset.deployment, config);
   LocalizerWorkspace ws;
   for (const auto& round : Fig9().dataset.rounds) {

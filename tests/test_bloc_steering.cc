@@ -6,6 +6,7 @@
 
 #include "bloc/engine.h"
 #include "bloc/steering_plan.h"
+#include "oracles/reference.h"
 #include "sim/experiment.h"
 
 namespace bloc::core {
@@ -82,7 +83,7 @@ TEST(SteeringPlanParity, MatchesReferenceKernelOnRandomScenes) {
 
     dsp::Grid2D reference(s.grid);
     SpectraWorkspace ref_ws;
-    JointLikelihoodMapInto(input, reference, ref_ws);
+    oracles::ReferenceJointLikelihoodMapInto(input, reference, ref_ws);
 
     dsp::Grid2D planned(s.grid);
     SpectraWorkspace plan_ws;
@@ -102,7 +103,7 @@ TEST(SteeringPlanParity, MaxAntennasRespected) {
 
   dsp::Grid2D reference(s.grid);
   SpectraWorkspace ref_ws;
-  JointLikelihoodMapInto(input, reference, ref_ws);
+  oracles::ReferenceJointLikelihoodMapInto(input, reference, ref_ws);
 
   dsp::Grid2D planned(s.grid);
   SpectraWorkspace plan_ws;
@@ -190,23 +191,19 @@ TEST(SteeringPlanCache, PlanBuildsAmortizedAcrossRounds) {
 }
 
 /// End-to-end equivalence on simulated rounds: the steering-plan kernel
-/// must not move a single localization output relative to the reference.
+/// must not move a single localization output relative to the reference
+/// oracle.
 TEST(SteeringPlanParity, LocalizationOutputsUnchanged) {
   sim::DatasetOptions options;
   options.locations = 4;
   const sim::Dataset dataset =
       sim::GenerateDataset(sim::PaperTestbed(1), options);
 
-  LocalizerConfig reference_config = sim::PaperLocalizerConfig(dataset);
-  reference_config.keep_map = true;
-  reference_config.spectra.kernel = LikelihoodKernel::kReference;
-  LocalizerConfig plan_config = reference_config;
-  plan_config.spectra.kernel = LikelihoodKernel::kSteeringPlan;
-
-  const Localizer reference(dataset.deployment, reference_config);
-  const Localizer planned(dataset.deployment, plan_config);
+  LocalizerConfig config = sim::PaperLocalizerConfig(dataset);
+  config.keep_map = true;
+  const Localizer planned(dataset.deployment, config);
   for (const net::MeasurementRound& round : dataset.rounds) {
-    const LocationResult a = reference.Locate(round);
+    const LocationResult a = oracles::ReferenceLocate(planned, round);
     const LocationResult b = planned.Locate(round);
     EXPECT_EQ(a.position.x, b.position.x);
     EXPECT_EQ(a.position.y, b.position.y);

@@ -464,10 +464,31 @@ TEST(LocalizationService, UnknownAnchorAndStoppedServiceRefuse) {
   anchor::CsiReport rogue = FrameFor(0, 0, 0);
   rogue.anchor_id = 9999;
   ASSERT_TRUE(service.Ingest(1, rogue));  // admitted to the ring...
-  ASSERT_TRUE(WaitFor(  // ...but refused by the registered-anchor view
+  ASSERT_TRUE(WaitFor(  // ...but refused: not an anchor of the deployment
       [&] { return service.Counters().refused_frames == 1; }));
   service.Stop();
   EXPECT_FALSE(service.Ingest(1, FrameFor(0, 0, 0)));
+}
+
+TEST(LocalizationService, UnknownAnchorHelloIsIgnored) {
+  // A hello must not enrol an anchor the deployment has no pose for: its
+  // report would complete a round the localizer cannot map, and without
+  // one every new session's rounds would wait for it until they expire.
+  LocalizationService service(Rounds().deployment, Config(), {});
+  service.Start();
+  service.OnMessage(net::AnchorHelloMsg{999, false});
+  SendRound(service, 1, 0, 0);
+  // A copy of a slave's report, so only its anchor id is wrong.
+  anchor::CsiReport rogue = FrameFor(0, MasterReportIndex(0) == 0 ? 1 : 0, 0);
+  rogue.anchor_id = 999;
+  ASSERT_TRUE(service.Ingest(1, std::move(rogue)));
+  ASSERT_TRUE(service.Drain(kDrain));
+  ASSERT_TRUE(WaitFor([&] { return service.Counters().refused_frames == 1; }));
+  const auto update = service.Poll(1);
+  ASSERT_TRUE(update.has_value());
+  ExpectIdentical(update->result, Reference()[0]);
+  EXPECT_EQ(service.Counters().expired_rounds, 0u);
+  service.Stop();
 }
 
 TEST(LocalizationService, EngineAdmissionBoundStallsWithoutDeadlock) {

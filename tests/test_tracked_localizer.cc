@@ -30,7 +30,7 @@ const sim::Dataset& MovingRounds() {
 
 core::LocalizerConfig CoarseConfig() {
   core::LocalizerConfig config = sim::PaperLocalizerConfig(MovingRounds());
-  config.spectra.search.mode = core::SearchMode::kCoarseToFine;
+  config.search.mode = core::SearchMode::kCoarseToFine;
   return config;
 }
 
