@@ -1,7 +1,7 @@
 // Committed-baseline comparison for bench_perf --mode=regress.
 //
 // A BENCH_*.json file written by an earlier bench run (committed to the
-// repo) is parsed back into a JsonValue tree; RegressGate then compares
+// repo) is parsed back with obs::ParseJsonFile; RegressGate then compares
 // freshly measured numbers against the recorded ones with noise-aware
 // tolerances. Machine-independent ratios (speedups, fractions, parity
 // counts) are gated by default; absolute timings only under --regress-abs,
@@ -13,190 +13,20 @@
 // baseline was recorded must not fail the gate for flapping the same way.
 #pragma once
 
-#include <cctype>
-#include <cmath>
-#include <fstream>
+#include <cstddef>
 #include <iostream>
-#include <map>
-#include <optional>
-#include <sstream>
 #include <string>
-#include <vector>
+#include <string_view>
+
+#include "obs/json.h"
 
 namespace bloc::bench {
 
-/// Minimal JSON value: just what the BENCH_*.json dialect uses (objects,
-/// arrays, numbers, strings, bools, null).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::map<std::string, JsonValue> object;
-  std::vector<JsonValue> array;
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const {
-    if (kind != Kind::kObject) return nullptr;
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-
-  /// Dotted-path lookup ("search.speedup"); nullptr when any hop is absent.
-  const JsonValue* Path(const std::string& dotted) const {
-    const JsonValue* node = this;
-    std::size_t pos = 0;
-    while (node != nullptr && pos <= dotted.size()) {
-      const std::size_t dot = dotted.find('.', pos);
-      const std::string key =
-          dotted.substr(pos, dot == std::string::npos ? dot : dot - pos);
-      node = node->Find(key);
-      if (dot == std::string::npos) break;
-      pos = dot + 1;
-    }
-    return node;
-  }
-
-  /// Number at a dotted path, or `fallback` when absent / not a number.
-  double Number(const std::string& dotted, double fallback = 0.0) const {
-    const JsonValue* node = Path(dotted);
-    return node != nullptr && node->kind == Kind::kNumber ? node->number
-                                                          : fallback;
-  }
-};
-
-/// Recursive-descent parser for the bench JSON dialect. Not a validating
-/// parser — baselines are repo-committed files we wrote ourselves.
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  std::optional<JsonValue> Parse() {
-    JsonValue value;
-    if (!ParseValue(value)) return std::nullopt;
-    SkipSpace();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
-    return value;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool ParseString(std::string& out) {
-    if (!Consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        out += esc == 'n' ? '\n' : esc;
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-
-  bool ParseValue(JsonValue& out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kObject;
-      SkipSpace();
-      if (Consume('}')) return true;
-      do {
-        std::string key;
-        if (!ParseString(key) || !Consume(':')) return false;
-        JsonValue member;
-        if (!ParseValue(member)) return false;
-        out.object.emplace(std::move(key), std::move(member));
-      } while (Consume(','));
-      return Consume('}');
-    }
-    if (c == '[') {
-      ++pos_;
-      out.kind = JsonValue::Kind::kArray;
-      SkipSpace();
-      if (Consume(']')) return true;
-      do {
-        JsonValue element;
-        if (!ParseValue(element)) return false;
-        out.array.push_back(std::move(element));
-      } while (Consume(','));
-      return Consume(']');
-    }
-    if (c == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return ParseString(out.str);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.kind = JsonValue::Kind::kBool;
-      out.boolean = false;
-      pos_ += 5;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      out.kind = JsonValue::Kind::kNull;
-      pos_ += 4;
-      return true;
-    }
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[end])) != 0 ||
-            text_[end] == '-' || text_[end] == '+' || text_[end] == '.' ||
-            text_[end] == 'e' || text_[end] == 'E' || text_[end] == 'i' ||
-            text_[end] == 'n' || text_[end] == 'f' || text_[end] == 'a')) {
-      ++end;  // accepts inf/nan, which ostream << double can emit
-    }
-    if (end == pos_) return false;
-    try {
-      out.number = std::stod(std::string(text_.substr(pos_, end - pos_)));
-    } catch (...) {
-      return false;
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    pos_ = end;
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-inline std::optional<JsonValue> ParseJsonFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return JsonParser(buffer.str()).Parse();
-}
-
 /// Coefficient of variation of a bench::Stats block recorded in a baseline
 /// section (0 when the block is absent or degenerate).
-inline double BaselineCv(const JsonValue& section, const std::string& stats) {
-  const JsonValue* block = section.Path(stats);
+inline double BaselineCv(const obs::JsonValue& section,
+                         std::string_view stats) {
+  const obs::JsonValue* block = section.Path(stats);
   if (block == nullptr) return 0.0;
   const double mean = block->Number("mean");
   const double stddev = block->Number("stddev");
@@ -214,25 +44,25 @@ class RegressGate {
   /// (deterministic metrics like accuracy medians use a tighter band).
   void AtLeast(const std::string& name, double baseline, double fresh,
                double extra_cv = 0.0, double tol_pct_override = -1.0) {
-    const double tol = Tolerance(extra_cv, tol_pct_override);
-    Report(name, baseline, fresh, tol, fresh >= baseline * (1.0 - tol));
+    const double factor = 1.0 - Tolerance(extra_cv, tol_pct_override);
+    Report(name, baseline, fresh, ">=", factor, fresh >= baseline * factor);
   }
 
   /// Gate a lower-is-better metric: fresh <= baseline * (1 + tol).
   void AtMost(const std::string& name, double baseline, double fresh,
               double extra_cv = 0.0, double tol_pct_override = -1.0) {
-    const double tol = Tolerance(extra_cv, tol_pct_override);
-    Report(name, baseline, fresh, tol, fresh <= baseline * (1.0 + tol));
+    const double factor = 1.0 + Tolerance(extra_cv, tol_pct_override);
+    Report(name, baseline, fresh, "<=", factor, fresh <= baseline * factor);
   }
 
   /// Gate an absolute budget (no relative tolerance): fresh <= budget.
   void Budget(const std::string& name, double budget, double fresh) {
-    Report(name, budget, fresh, 0.0, fresh <= budget);
+    Report(name, budget, fresh, nullptr, 0.0, fresh <= budget);
   }
 
   /// Gate an exact-zero invariant (parity mismatches, lost rounds).
   void Zero(const std::string& name, double fresh) {
-    Report(name, 0.0, fresh, 0.0, fresh == 0.0);
+    Report(name, 0.0, fresh, nullptr, 0.0, fresh == 0.0);
   }
 
   void Skip(const std::string& section, const std::string& why) {
@@ -249,13 +79,17 @@ class RegressGate {
     return pct / 100.0 + 2.0 * extra_cv;
   }
 
+  /// One `[regress]` line; a relative check prints the bound it tested,
+  /// e.g. "(>= 0.65 x baseline)".
   void Report(const std::string& name, double baseline, double fresh,
-              double tol, bool ok) {
+              const char* op, double factor, bool ok) {
     ++checks_;
     if (!ok) ++failures_;
     std::cout << "  [regress] " << name << ": baseline " << baseline
               << " fresh " << fresh;
-    if (tol > 0.0) std::cout << " (tol +/-" << tol * 100.0 << "%)";
+    if (op != nullptr) {
+      std::cout << " (" << op << " " << factor << " x baseline)";
+    }
     std::cout << (ok ? "  OK" : "  FAIL") << "\n";
   }
 

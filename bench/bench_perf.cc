@@ -49,8 +49,8 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,6 +71,7 @@
 #include "bloc/engine.h"
 #include "dsp/fft.h"
 #include "net/messages.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
@@ -83,6 +84,7 @@
 namespace {
 
 using namespace bloc;
+using obs::JsonValue;
 
 const sim::Dataset& SharedDataset() {
   static const sim::Dataset dataset = [] {
@@ -254,11 +256,20 @@ struct SweepPoint {
   double rounds_per_sec = 0.0;
 };
 
-struct KernelComparison {
-  double reference_ms_per_map = 0.0;
-  double plan_ms_per_map = 0.0;
-  double speedup = 0.0;
-};
+/// Prints one rounds/sec-per-thread-count sweep and returns it as JSON:
+/// [{"threads": n, "rounds_per_sec": r, "speedup_vs_1": r / r_first}, ...].
+JsonValue SweepJson(const std::vector<SweepPoint>& sweep) {
+  JsonValue out = JsonValue::Array();
+  for (const SweepPoint& p : sweep) {
+    const double speedup = p.rounds_per_sec / sweep[0].rounds_per_sec;
+    std::cout << "  threads=" << p.threads << "  " << p.rounds_per_sec
+              << " rounds/sec  (x" << speedup << " vs threads=1)\n";
+    out.Push(JsonValue::Object({{"threads", p.threads},
+                                {"rounds_per_sec", p.rounds_per_sec},
+                                {"speedup_vs_1", speedup}}));
+  }
+  return out;
+}
 
 /// Times one fused likelihood map per kernel; at least `min_seconds` of
 /// repetitions each, single-threaded, same fig9 corrected channels.
@@ -285,7 +296,7 @@ double TimeFusedMap(const sim::Dataset& dataset,
 /// The single-thread likelihood-map stage regression check: steering-plan
 /// kernel vs the naive reference kernel (the test oracle) on the fig9
 /// workload.
-KernelComparison RunKernelComparison() {
+JsonValue RunKernelComparison() {
   std::cerr << "comparing likelihood-map kernels on the fig9 workload...\n";
   sim::DatasetOptions options;
   options.locations = 1;
@@ -294,25 +305,25 @@ KernelComparison RunKernelComparison() {
   const core::CorrectedChannels corrected =
       core::ComputeCorrectedChannels(dataset.rounds[0]);
 
-  KernelComparison cmp;
-  cmp.reference_ms_per_map =
+  const double reference_ms =
       TimeFusedMap(dataset, corrected, oracles::ReferenceFusedMap);
-  cmp.plan_ms_per_map = TimeFusedMap(dataset, corrected, PlanFusedMap);
-  cmp.speedup = cmp.reference_ms_per_map / cmp.plan_ms_per_map;
+  const double plan_ms = TimeFusedMap(dataset, corrected, PlanFusedMap);
+  const double speedup = reference_ms / plan_ms;
 
   std::cout << "\n=== likelihood-map stage (fig9 workload, 1 thread, fused "
                "4-anchor map) ===\n"
-            << "  reference kernel      " << cmp.reference_ms_per_map
-            << " ms/map\n"
-            << "  steering-plan kernel  " << cmp.plan_ms_per_map
-            << " ms/map  (x" << cmp.speedup << " speedup)\n";
-  return cmp;
+            << "  reference kernel      " << reference_ms << " ms/map\n"
+            << "  steering-plan kernel  " << plan_ms << " ms/map  (x"
+            << speedup << " speedup)\n";
+  return JsonValue::Object({{"reference_ms_per_map", reference_ms},
+                            {"steering_plan_ms_per_map", plan_ms},
+                            {"speedup", speedup}});
 }
 
 /// Measures engine throughput (rounds/sec) on the fig9 workload for
 /// threads in {1, 2, 4}; the thread counts stay fixed across machines so
 /// successive runs are comparable.
-std::vector<SweepPoint> RunThroughputSweep(std::size_t batch_rounds) {
+JsonValue RunThroughputSweep(std::size_t batch_rounds) {
   std::cerr << "generating fig9 workload (" << batch_rounds
             << " rounds) for the throughput sweep...\n";
   sim::DatasetOptions options;
@@ -341,21 +352,8 @@ std::vector<SweepPoint> RunThroughputSweep(std::size_t batch_rounds) {
 
   std::cout << "\n=== localization engine throughput (fig9 workload, "
             << batch_rounds << "-round batches) ===\n";
-  for (const SweepPoint& p : sweep) {
-    std::cout << "  threads=" << p.threads << "  " << p.rounds_per_sec
-              << " rounds/sec  (x" << p.rounds_per_sec / sweep[0].rounds_per_sec
-              << " vs threads=1)\n";
-  }
-  return sweep;
+  return SweepJson(sweep);
 }
-
-struct FullPhyComparison {
-  double reference_ms_per_round = 0.0;
-  double planned_ms_per_round = 0.0;
-  double speedup = 0.0;
-  bloc::bench::Stats reference_stats;
-  bloc::bench::Stats planned_stats;
-};
 
 /// Times full-PHY measurement rounds (ms/round) on the given simulator,
 /// cycling through `positions`. At least one round always runs.
@@ -379,7 +377,7 @@ double TimeFullPhyRounds(sim::MeasurementSimulator& simulator,
 /// The single-thread full-PHY measurement regression check: planned fast
 /// path (FFT plans + incremental rotors + cached assets) vs the reference
 /// kernels on the fig9 workload.
-FullPhyComparison RunFullPhyComparison() {
+JsonValue RunFullPhyComparison() {
   std::cerr << "comparing full-PHY measurement kernels on the fig9 "
                "workload...\n";
   sim::ScenarioConfig scenario = sim::PaperTestbed(1);
@@ -391,35 +389,34 @@ FullPhyComparison RunFullPhyComparison() {
   // Each bench::Stats sample is one multi-round timing window; the reported
   // scalar is the min (scheduler noise only ever adds time) and the spread
   // goes to the JSON so regressions can be told from noise.
-  FullPhyComparison cmp;
   simulator.UseReferenceFullPhy(true);
-  cmp.reference_stats = bloc::bench::MeasureRepeated(1, 3, [&] {
+  const bloc::bench::Stats reference = bloc::bench::MeasureRepeated(1, 3, [&] {
     return TimeFullPhyRounds(simulator, positions, 1.0);
   });
   simulator.UseReferenceFullPhy(false);
-  cmp.planned_stats = bloc::bench::MeasureRepeated(1, 3, [&] {
+  const bloc::bench::Stats planned = bloc::bench::MeasureRepeated(1, 3, [&] {
     return TimeFullPhyRounds(simulator, positions, 1.0);
   });
-  cmp.reference_ms_per_round = cmp.reference_stats.min;
-  cmp.planned_ms_per_round = cmp.planned_stats.min;
-  cmp.speedup = cmp.reference_ms_per_round / cmp.planned_ms_per_round;
+  const double speedup = reference.min / planned.min;
 
   std::cout << "\n=== full-PHY measurement stage (fig9 workload, 1 thread) "
                "===\n"
-            << "  reference kernels  " << cmp.reference_ms_per_round
-            << " ms/round (p50 " << cmp.reference_stats.p50 << ", stddev "
-            << cmp.reference_stats.stddev << ")\n"
-            << "  planned fast path  " << cmp.planned_ms_per_round
-            << " ms/round (p50 " << cmp.planned_stats.p50 << ", stddev "
-            << cmp.planned_stats.stddev << ")  (x" << cmp.speedup
-            << " speedup)\n";
-  return cmp;
+            << "  reference kernels  " << reference.min << " ms/round (p50 "
+            << reference.p50 << ", stddev " << reference.stddev << ")\n"
+            << "  planned fast path  " << planned.min << " ms/round (p50 "
+            << planned.p50 << ", stddev " << planned.stddev << ")  (x"
+            << speedup << " speedup)\n";
+  return JsonValue::Object(
+      {{"reference_ms_per_round", reference.min},
+       {"planned_ms_per_round", planned.min}, {"speedup", speedup},
+       {"reference_stats", reference.ToJson()},
+       {"planned_stats", planned.ToJson()}});
 }
 
 /// Full-PHY round synthesis throughput (rounds/sec) for threads in
 /// {1, 2, 4}. Output is bit-identical across thread counts (tested), so
 /// this sweep measures pure scheduling scalability.
-std::vector<SweepPoint> RunFullPhyThreadSweep() {
+JsonValue RunFullPhyThreadSweep() {
   std::cerr << "sweeping full-PHY measurement threads...\n";
   std::vector<SweepPoint> sweep;
   for (const std::size_t threads : {1, 2, 4}) {
@@ -435,32 +432,13 @@ std::vector<SweepPoint> RunFullPhyThreadSweep() {
 
   std::cout << "\n=== full-PHY round synthesis throughput (fig9 workload) "
                "===\n";
-  for (const SweepPoint& p : sweep) {
-    std::cout << "  threads=" << p.threads << "  " << p.rounds_per_sec
-              << " rounds/sec  (x" << p.rounds_per_sec / sweep[0].rounds_per_sec
-              << " vs threads=1)\n";
-  }
-  return sweep;
+  return SweepJson(sweep);
 }
-
-struct DatasetSweep {
-  std::size_t locations = 0;
-  double cold_generate_ms = 0.0;  // store miss: synthesize + serialize + persist
-  double warm_load_ms = 0.0;      // store hit: load + decode from disk
-  double speedup = 0.0;
-  double encode_ms = 0.0;
-  double decode_ms = 0.0;
-  double file_mb = 0.0;
-  bloc::bench::Stats cold_stats;
-  bloc::bench::Stats warm_stats;
-  bloc::bench::Stats encode_stats;
-  bloc::bench::Stats decode_stats;
-};
 
 /// The generate-once/replay-many regression check: a cold DatasetStore miss
 /// (streaming synthesis into serialization and onto disk) vs a warm hit
 /// (load + decode) on the fig9 workload, plus raw codec throughput.
-DatasetSweep RunDatasetSweep(std::size_t locations) {
+JsonValue RunDatasetSweep(std::size_t locations) {
   std::cerr << "sweeping dataset store (cold synthesis vs warm load, "
             << locations << " locations)...\n";
   namespace fs = std::filesystem;
@@ -477,13 +455,11 @@ DatasetSweep RunDatasetSweep(std::size_t locations) {
                      .count();
   };
 
-  DatasetSweep sweep;
-  sweep.locations = locations;
   sim::Dataset dataset;
   // Every cold sample starts from an empty store (remove_all keeps it a true
   // miss); no warmup — the first cold pass IS the measurement of interest,
   // and generation itself is deterministic.
-  sweep.cold_stats = bloc::bench::MeasureRepeated(0, 2, [&] {
+  const bloc::bench::Stats cold = bloc::bench::MeasureRepeated(0, 2, [&] {
     fs::remove_all(dir);
     sim::DatasetStore store(dir);
     const auto start = std::chrono::steady_clock::now();
@@ -492,7 +468,7 @@ DatasetSweep RunDatasetSweep(std::size_t locations) {
     if (store.misses() != 1) std::cerr << "  warning: expected a cold miss\n";
     return ms;
   });
-  sweep.warm_stats = bloc::bench::MeasureRepeated(1, 5, [&] {
+  const bloc::bench::Stats warm = bloc::bench::MeasureRepeated(1, 5, [&] {
     sim::DatasetStore store(dir);
     const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(store.GetOrGenerate(scenario, options));
@@ -500,59 +476,39 @@ DatasetSweep RunDatasetSweep(std::size_t locations) {
     if (store.hits() != 1) std::cerr << "  warning: expected a warm hit\n";
     return ms;
   });
-  sweep.cold_generate_ms = sweep.cold_stats.min;
-  sweep.warm_load_ms = sweep.warm_stats.min;
-  sweep.speedup = sweep.cold_generate_ms / sweep.warm_load_ms;
+  const double speedup = cold.min / warm.min;
 
   net::Buffer bytes;
-  sweep.encode_stats = bloc::bench::MeasureRepeated(1, 5, [&] {
+  const bloc::bench::Stats encode = bloc::bench::MeasureRepeated(1, 5, [&] {
     const auto start = std::chrono::steady_clock::now();
     bytes = sim::EncodeDataset(dataset, fp);
     return ms_since(start);
   });
-  sweep.decode_stats = bloc::bench::MeasureRepeated(1, 5, [&] {
+  const bloc::bench::Stats decode = bloc::bench::MeasureRepeated(1, 5, [&] {
     const auto start = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(sim::DecodeDataset(bytes));
     return ms_since(start);
   });
-  sweep.encode_ms = sweep.encode_stats.min;
-  sweep.decode_ms = sweep.decode_stats.min;
-  sweep.file_mb = static_cast<double>(bytes.size()) / (1024.0 * 1024.0);
+  const double file_mb = static_cast<double>(bytes.size()) / (1024.0 * 1024.0);
   fs::remove_all(dir);
 
   std::cout << "\n=== dataset store (fig9 workload, " << locations
             << " locations) ===\n"
-            << "  cold miss (synthesize+serialize+persist)  "
-            << sweep.cold_generate_ms << " ms (stddev "
-            << sweep.cold_stats.stddev << ")\n"
-            << "  warm hit (load+decode)                    "
-            << sweep.warm_load_ms << " ms (stddev " << sweep.warm_stats.stddev
-            << ")  (x" << sweep.speedup << " speedup)\n"
-            << "  codec: encode " << sweep.encode_ms << " ms, decode "
-            << sweep.decode_ms << " ms, file " << sweep.file_mb << " MB\n";
-  return sweep;
+            << "  cold miss (synthesize+serialize+persist)  " << cold.min
+            << " ms (stddev " << cold.stddev << ")\n"
+            << "  warm hit (load+decode)                    " << warm.min
+            << " ms (stddev " << warm.stddev << ")  (x" << speedup
+            << " speedup)\n"
+            << "  codec: encode " << encode.min << " ms, decode "
+            << decode.min << " ms, file " << file_mb << " MB\n";
+  return JsonValue::Object(
+      {{"locations", locations}, {"cold_generate_ms", cold.min},
+       {"warm_load_ms", warm.min}, {"speedup", speedup},
+       {"encode_ms", encode.min}, {"decode_ms", decode.min},
+       {"file_mb", file_mb}, {"cold_stats", cold.ToJson()},
+       {"warm_stats", warm.ToJson()}, {"encode_stats", encode.ToJson()},
+       {"decode_stats", decode.ToJson()}});
 }
-
-struct ObsOverhead {
-  double enabled_ms_per_round = 0.0;
-  double disabled_ms_per_round = 0.0;
-  double overhead_pct = 0.0;
-  bloc::bench::Stats enabled_stats;
-  bloc::bench::Stats disabled_stats;
-};
-
-struct SearchComparison {
-  double exhaustive_ms_per_map = 0.0;
-  double coarse_ms_per_map = 0.0;
-  double speedup = 0.0;
-  bloc::bench::Stats exhaustive_stats;
-  bloc::bench::Stats coarse_stats;
-  std::size_t parity_rounds = 0;
-  std::size_t parity_mismatches = 0;
-  std::size_t fallback_rounds = 0;
-  /// Kernel evaluations the coarse path performed / what exhaustive would.
-  double evaluated_fraction = 0.0;
-};
 
 /// Times the fused-map stage (FusedMapInto on a reused workspace, fuse-order
 /// derivation included) for at least `min_seconds`, single-threaded. Cycles
@@ -582,7 +538,7 @@ double TimeMapStage(const core::Localizer& localizer,
 /// The coarse-to-fine search regression check: map-stage latency exhaustive
 /// vs coarse on the fig9 workload, plus a full-dataset position-parity and
 /// pruning-rate audit (selected positions must be bit-identical).
-SearchComparison RunSearchComparison(std::size_t coarse_stride) {
+JsonValue RunSearchComparison(std::size_t coarse_stride) {
   std::cerr << "comparing likelihood search strategies on the fig9 "
                "workload...\n";
   sim::DatasetOptions options;
@@ -605,7 +561,7 @@ SearchComparison RunSearchComparison(std::size_t coarse_stride) {
     corrected.push_back(exhaustive.CorrectedFor(round));
   }
 
-  SearchComparison cmp;
+  bloc::bench::Stats exhaustive_stats, coarse_stats;
   {
     // Alternating windows: a load spike degrades one rep of both strategies
     // instead of biasing whichever ran during it. The scalar is the min
@@ -619,51 +575,57 @@ SearchComparison RunSearchComparison(std::size_t coarse_stride) {
       esamples.push_back(TimeMapStage(exhaustive, corrected, ews));
       csamples.push_back(TimeMapStage(coarse, corrected, cws));
     }
-    cmp.exhaustive_stats = bloc::bench::Stats::Of(std::move(esamples));
-    cmp.coarse_stats = bloc::bench::Stats::Of(std::move(csamples));
-    cmp.exhaustive_ms_per_map = cmp.exhaustive_stats.min;
-    cmp.coarse_ms_per_map = cmp.coarse_stats.min;
+    exhaustive_stats = bloc::bench::Stats::Of(std::move(esamples));
+    coarse_stats = bloc::bench::Stats::Of(std::move(csamples));
   }
-  cmp.speedup = cmp.exhaustive_ms_per_map / cmp.coarse_ms_per_map;
+  const double speedup = exhaustive_stats.min / coarse_stats.min;
 
   core::LocalizerWorkspace ews, cws;
+  std::size_t parity_rounds = 0, parity_mismatches = 0, fallback_rounds = 0;
   std::size_t evaluated = 0;
   std::size_t exhaustive_cells = 0;
   for (const net::MeasurementRound& round : dataset.rounds) {
     const core::LocationResult e = exhaustive.Locate(round, ews);
     const core::LocationResult c = coarse.Locate(round, cws);
-    ++cmp.parity_rounds;
+    ++parity_rounds;
     if (e.position.x != c.position.x || e.position.y != c.position.y) {
-      ++cmp.parity_mismatches;
+      ++parity_mismatches;
     }
-    if (cws.search.stats.fell_back) ++cmp.fallback_rounds;
+    if (cws.search.stats.fell_back) ++fallback_rounds;
     evaluated += cws.search.stats.cells_evaluated;
     exhaustive_cells +=
         cws.search.stats.cells_evaluated + cws.search.stats.cells_pruned;
   }
-  if (exhaustive_cells > 0) {
-    cmp.evaluated_fraction = static_cast<double>(evaluated) /
-                             static_cast<double>(exhaustive_cells);
-  }
+  // Kernel evaluations the coarse path performed / what exhaustive would.
+  const double evaluated_fraction =
+      exhaustive_cells > 0 ? static_cast<double>(evaluated) /
+                                 static_cast<double>(exhaustive_cells)
+                           : 0.0;
 
   std::cout << "\n=== likelihood search (fig9 workload, 1 thread, fused "
                "4-anchor map) ===\n"
-            << "  exhaustive search     " << cmp.exhaustive_ms_per_map
-            << " ms/map (p50 " << cmp.exhaustive_stats.p50 << ", stddev "
-            << cmp.exhaustive_stats.stddev << ")\n"
-            << "  coarse-to-fine search " << cmp.coarse_ms_per_map
-            << " ms/map (p50 " << cmp.coarse_stats.p50 << ", stddev "
-            << cmp.coarse_stats.stddev << ")  (x" << cmp.speedup
-            << " speedup)\n"
-            << "  parity: " << cmp.parity_mismatches << "/"
-            << cmp.parity_rounds << " position mismatches, "
-            << cmp.fallback_rounds << " fallbacks, "
-            << 100.0 * cmp.evaluated_fraction << "% of cells evaluated\n";
-  if (cmp.parity_mismatches > 0) {
+            << "  exhaustive search     " << exhaustive_stats.min
+            << " ms/map (p50 " << exhaustive_stats.p50 << ", stddev "
+            << exhaustive_stats.stddev << ")\n"
+            << "  coarse-to-fine search " << coarse_stats.min
+            << " ms/map (p50 " << coarse_stats.p50 << ", stddev "
+            << coarse_stats.stddev << ")  (x" << speedup << " speedup)\n"
+            << "  parity: " << parity_mismatches << "/" << parity_rounds
+            << " position mismatches, " << fallback_rounds << " fallbacks, "
+            << 100.0 * evaluated_fraction << "% of cells evaluated\n";
+  if (parity_mismatches > 0) {
     std::cerr << "bench_perf: WARNING coarse-to-fine selected different "
                  "positions\n";
   }
-  return cmp;
+  return JsonValue::Object(
+      {{"exhaustive_ms_per_map", exhaustive_stats.min},
+       {"coarse_ms_per_map", coarse_stats.min}, {"speedup", speedup},
+       {"parity_rounds", parity_rounds},
+       {"parity_mismatches", parity_mismatches},
+       {"fallback_rounds", fallback_rounds},
+       {"evaluated_fraction", evaluated_fraction},
+       {"exhaustive_stats", exhaustive_stats.ToJson()},
+       {"coarse_stats", coarse_stats.ToJson()}});
 }
 
 /// Best-of-`reps` LocateBatch timing (ms/round) under the current metrics
@@ -692,7 +654,7 @@ double TimeBatchMs(core::LocalizationEngine& engine,
 
 /// The observability self-check (ISSUE: enabled overhead <= 2% on fig9):
 /// the same engine and workload with metric recording on vs runtime-off.
-ObsOverhead RunObsOverheadCheck(std::size_t batch_rounds) {
+JsonValue RunObsOverheadCheck(std::size_t batch_rounds) {
   std::cerr << "measuring metrics-substrate overhead on the fig9 "
                "workload...\n";
   sim::DatasetOptions options;
@@ -715,22 +677,17 @@ ObsOverhead RunObsOverheadCheck(std::size_t batch_rounds) {
               << admin.port() << "\n";
   }
 
-  ObsOverhead result;
   obs::SetMetricsEnabled(true);
-  result.enabled_stats = bloc::bench::MeasureRepeated(
+  const bloc::bench::Stats enabled = bloc::bench::MeasureRepeated(
       1, 5, [&] { return TimeBatchMs(engine, dataset, 1); });
   obs::SetMetricsEnabled(false);
-  result.disabled_stats = bloc::bench::MeasureRepeated(
+  const bloc::bench::Stats disabled = bloc::bench::MeasureRepeated(
       1, 5, [&] { return TimeBatchMs(engine, dataset, 1); });
   obs::SetMetricsEnabled(true);
   // The overhead gate compares minima — both numbers carry only additive
   // scheduler noise, and a percent-level comparison of means would flap.
-  result.enabled_ms_per_round = result.enabled_stats.min;
-  result.disabled_ms_per_round = result.disabled_stats.min;
-  result.overhead_pct = 100.0 *
-                        (result.enabled_ms_per_round -
-                         result.disabled_ms_per_round) /
-                        result.disabled_ms_per_round;
+  const double overhead_pct = 100.0 * (enabled.min - disabled.min) /
+                              disabled.min;
 
   std::cout << "\n=== observability overhead (fig9 workload, 1 thread) ===\n"
             << "  admin endpoint    127.0.0.1:" << admin.port()
@@ -738,14 +695,16 @@ ObsOverhead RunObsOverheadCheck(std::size_t batch_rounds) {
             << (scrape_ok ? "ok, " + std::to_string(scrape.size()) + " bytes"
                           : std::string("FAILED"))
             << ")\n"
-            << "  metrics enabled   " << result.enabled_ms_per_round
-            << " ms/round (p50 " << result.enabled_stats.p50 << ", stddev "
-            << result.enabled_stats.stddev << ")\n"
-            << "  metrics disabled  " << result.disabled_ms_per_round
-            << " ms/round (p50 " << result.disabled_stats.p50 << ", stddev "
-            << result.disabled_stats.stddev << ")\n"
-            << "  overhead          " << result.overhead_pct << " %\n";
-  return result;
+            << "  metrics enabled   " << enabled.min << " ms/round (p50 "
+            << enabled.p50 << ", stddev " << enabled.stddev << ")\n"
+            << "  metrics disabled  " << disabled.min << " ms/round (p50 "
+            << disabled.p50 << ", stddev " << disabled.stddev << ")\n"
+            << "  overhead          " << overhead_pct << " %\n";
+  return JsonValue::Object(
+      {{"enabled_ms_per_round", enabled.min},
+       {"disabled_ms_per_round", disabled.min},
+       {"overhead_pct", overhead_pct}, {"enabled_stats", enabled.ToJson()},
+       {"disabled_stats", disabled.ToJson()}});
 }
 
 // ---------------------------------------------------------------------------
@@ -755,26 +714,8 @@ ObsOverhead RunObsOverheadCheck(std::size_t batch_rounds) {
 // trajectory-error medians; --track-parity turns the gating-off raw-fix
 // parity audit into a regression gate (exit 1 on any mismatch).
 
-struct TrackComparison {
-  std::size_t rounds = 0;
-  bloc::bench::Stats ungated_ms_per_round;
-  bloc::bench::Stats gated_ms_per_round;
-  double speedup = 0.0;
-  std::size_t gated_rounds = 0;
-  std::size_t gate_misses = 0;
-  std::uint64_t cells_ungated = 0;
-  std::uint64_t cells_gated = 0;
-  /// Cells the gated pass evaluated / what the ungated coarse pass did.
-  double evaluated_fraction = 0.0;
-  double raw_median_m = 0.0;
-  double tracked_median_m = 0.0;
-  double gated_median_m = 0.0;
-  std::size_t parity_rounds = 0;
-  std::size_t parity_mismatches = 0;
-};
-
-TrackComparison RunTrackComparison(std::size_t locations,
-                                   std::size_t coarse_stride) {
+JsonValue RunTrackComparison(std::size_t locations,
+                             std::size_t coarse_stride) {
   std::cerr << "generating moving-tag workload (" << locations
             << " rounds, waypoint motion) for the track sweep...\n";
   sim::ScenarioConfig scenario = sim::PaperTestbed(1);
@@ -788,8 +729,7 @@ TrackComparison RunTrackComparison(std::size_t locations,
   if (coarse_stride > 0) config.search.coarse_stride = coarse_stride;
   const core::Localizer localizer(dataset.deployment, config);
 
-  TrackComparison cmp;
-  cmp.rounds = dataset.rounds.size();
+  const std::size_t rounds = dataset.rounds.size();
 
   // One full-trajectory pass; fills the per-round outputs (deterministic, so
   // keeping the last rep's copy is exact) and returns ms/round.
@@ -823,30 +763,27 @@ TrackComparison RunTrackComparison(std::size_t locations,
   };
 
   PassOut ungated, gated;
-  cmp.ungated_ms_per_round = bloc::bench::MeasureRepeated(
+  const bloc::bench::Stats ungated_ms = bloc::bench::MeasureRepeated(
       1, 5, [&] { return run_pass(false, ungated); });
-  cmp.gated_ms_per_round = bloc::bench::MeasureRepeated(
+  const bloc::bench::Stats gated_ms = bloc::bench::MeasureRepeated(
       1, 5, [&] { return run_pass(true, gated); });
-  cmp.speedup = cmp.ungated_ms_per_round.min / cmp.gated_ms_per_round.min;
-  cmp.cells_ungated = ungated.cells;
-  cmp.cells_gated = gated.cells;
-  cmp.gated_rounds = gated.gated_rounds;
-  cmp.gate_misses = gated.gate_misses;
-  if (ungated.cells > 0) {
-    cmp.evaluated_fraction = static_cast<double>(gated.cells) /
-                             static_cast<double>(ungated.cells);
-  }
+  const double speedup = ungated_ms.min / gated_ms.min;
+  // Cells the gated pass evaluated / what the ungated coarse pass did.
+  const double evaluated_fraction =
+      ungated.cells > 0 ? static_cast<double>(gated.cells) /
+                              static_cast<double>(ungated.cells)
+                        : 0.0;
 
   // Parity audit: with gating off the tracker is a pure post-stage, so the
   // raw fixes must match the engine pipeline bit for bit.
   core::LocalizationEngine engine(dataset.deployment, config, {.threads = 1});
   const std::vector<core::LocationResult> reference =
       engine.LocateBatch(dataset.rounds);
-  cmp.parity_rounds = reference.size();
+  std::size_t parity_mismatches = 0;
   for (std::size_t i = 0; i < reference.size(); ++i) {
     if (reference[i].position.x != ungated.raw[i].x ||
         reference[i].position.y != ungated.raw[i].y) {
-      ++cmp.parity_mismatches;
+      ++parity_mismatches;
     }
   }
 
@@ -858,29 +795,39 @@ TrackComparison RunTrackComparison(std::size_t locations,
     }
     return bloc::bench::Stats::Of(std::move(err)).p50;
   };
-  cmp.raw_median_m = median_err(ungated.raw);
-  cmp.tracked_median_m = median_err(ungated.tracked);
-  cmp.gated_median_m = median_err(gated.tracked);
+  const double raw_median_m = median_err(ungated.raw);
+  const double tracked_median_m = median_err(ungated.tracked);
+  const double gated_median_m = median_err(gated.tracked);
 
-  std::cout << "\n=== track-while-localize (waypoint trajectory, "
-            << cmp.rounds << " rounds, 1 thread) ===\n"
-            << "  ungated coarse  " << cmp.ungated_ms_per_round.min
-            << " ms/round (p50 " << cmp.ungated_ms_per_round.p50
-            << ", stddev " << cmp.ungated_ms_per_round.stddev << ")\n"
-            << "  gated coarse    " << cmp.gated_ms_per_round.min
-            << " ms/round (p50 " << cmp.gated_ms_per_round.p50 << ", stddev "
-            << cmp.gated_ms_per_round.stddev << ")  (x" << cmp.speedup
-            << " speedup)\n"
-            << "  gate: " << cmp.gated_rounds << "/" << cmp.rounds
-            << " rounds gated, " << cmp.gate_misses << " misses, "
-            << 100.0 * cmp.evaluated_fraction
+  std::cout << "\n=== track-while-localize (waypoint trajectory, " << rounds
+            << " rounds, 1 thread) ===\n"
+            << "  ungated coarse  " << ungated_ms.min << " ms/round (p50 "
+            << ungated_ms.p50 << ", stddev " << ungated_ms.stddev << ")\n"
+            << "  gated coarse    " << gated_ms.min << " ms/round (p50 "
+            << gated_ms.p50 << ", stddev " << gated_ms.stddev << ")  (x"
+            << speedup << " speedup)\n"
+            << "  gate: " << gated.gated_rounds << "/" << rounds
+            << " rounds gated, " << gated.gate_misses << " misses, "
+            << 100.0 * evaluated_fraction
             << "% of ungated cells evaluated\n"
-            << "  median error: raw " << 100.0 * cmp.raw_median_m
-            << " cm, tracked " << 100.0 * cmp.tracked_median_m
-            << " cm, tracked+gated " << 100.0 * cmp.gated_median_m << " cm\n"
-            << "  parity (gating off): " << cmp.parity_mismatches << "/"
-            << cmp.parity_rounds << " raw-fix mismatches\n";
-  return cmp;
+            << "  median error: raw " << 100.0 * raw_median_m
+            << " cm, tracked " << 100.0 * tracked_median_m
+            << " cm, tracked+gated " << 100.0 * gated_median_m << " cm\n"
+            << "  parity (gating off): " << parity_mismatches << "/"
+            << reference.size() << " raw-fix mismatches\n";
+  return JsonValue::Object(
+      {{"rounds", rounds}, {"speedup", speedup},
+       {"gated_rounds", gated.gated_rounds},
+       {"gate_misses", gated.gate_misses},
+       {"cells_ungated", ungated.cells}, {"cells_gated", gated.cells},
+       {"evaluated_fraction", evaluated_fraction},
+       {"raw_median_m", raw_median_m},
+       {"tracked_median_m", tracked_median_m},
+       {"gated_median_m", gated_median_m},
+       {"parity_rounds", reference.size()},
+       {"parity_mismatches", parity_mismatches},
+       {"ungated_ms_per_round", ungated_ms.ToJson()},
+       {"gated_ms_per_round", gated_ms.ToJson()}});
 }
 
 // ---------------------------------------------------------------------------
@@ -906,40 +853,6 @@ struct SoakConfig {
   std::size_t warmup = 1;
   std::size_t dataset_locations = 16;
   serve::ShedPolicy shed_policy = serve::ShedPolicy::kShedOldest;
-};
-
-struct SoakPoint {
-  std::size_t tags = 0;
-  std::size_t shards = 0;
-  std::size_t producers = 0;
-  std::size_t engine_threads = 0;     // resolved pool size
-  std::size_t assembler_threads = 0;  // resolved (clamped to shards)
-  bloc::bench::Stats rounds_per_sec;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  std::uint64_t retries = 0;  // producer pushes bounced by backpressure
-  serve::ServiceCounters counters;
-  std::uint64_t updates = 0;
-  std::uint64_t lost_rounds = 0;
-  std::uint64_t parity_mismatches = 0;
-  std::uint64_t order_violations = 0;
-};
-
-struct SoakResult {
-  std::size_t rounds_per_tag = 0;
-  std::vector<SoakPoint> points;
-  bloc::bench::Stats baseline_rounds_per_sec;
-  std::size_t baseline_tags = 0;
-  /// Best service mean over points at the baseline tag count / baseline.
-  double throughput_ratio = 0.0;
-  std::uint64_t total_lost = 0;
-  std::uint64_t total_mismatches = 0;
-  std::uint64_t total_order_violations = 0;
-  std::uint64_t total_shed = 0;
-  std::uint64_t total_expired = 0;
-  std::uint64_t total_duplicates = 0;
-  double worst_p99_us = 0.0;
 };
 
 /// Interval-local latency quantile between two registry snapshots
@@ -1165,8 +1078,8 @@ std::vector<std::vector<std::size_t>> MakePicks(std::size_t tags,
 /// `admin` (optional) is attached to each sweep point's service so external
 /// clients can scrape /metrics and /healthz mid-run; `scrape_failures`
 /// non-null additionally runs the in-bench scrape client per sweep point.
-SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
-                        std::vector<std::string>* scrape_failures) {
+JsonValue RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
+                       std::vector<std::string>* scrape_failures) {
   std::cerr << "generating fig9 workload (" << config.dataset_locations
             << " locations) for the soak sweep...\n";
   sim::DatasetOptions options;
@@ -1181,8 +1094,13 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
   const std::vector<core::LocationResult> reference =
       reference_engine.LocateBatch(dataset.rounds);
 
-  SoakResult result;
-  result.rounds_per_tag = config.rounds_per_tag;
+  // The Collector baseline runs at the largest tag count; the throughput
+  // ratio compares it with the best service point at that count.
+  const std::size_t baseline_tags = config.tags.back();
+  JsonValue points = JsonValue::Array();
+  std::uint64_t total_lost = 0, total_mismatches = 0, total_order = 0;
+  std::uint64_t total_shed = 0, total_expired = 0, total_duplicates = 0;
+  double worst_p99_us = 0.0, best_service = 0.0;
 
   std::cout << "\n=== multi-tenant soak (fig9 rounds, "
             << config.rounds_per_tag << " rounds/tag, "
@@ -1263,49 +1181,59 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
               }
             }
 
-            SoakPoint point;
-            point.tags = tags;
-            point.shards = service.shard_count();
-            point.producers = producers;
-            point.engine_threads = service.engine().threads();
-            point.assembler_threads = service.options().assembler_threads;
-            point.rounds_per_sec = stats;
-            point.p50_us =
-                IntervalQuantile(delta, "serve.e2e_latency_us", 0.50);
-            point.p99_us =
-                IntervalQuantile(delta, "serve.e2e_latency_us", 0.99);
-            point.p999_us =
-                IntervalQuantile(delta, "serve.e2e_latency_us", 0.999);
-            point.retries = retries.load();
-            point.counters = service.Counters();
-            point.updates = updates.load();
+            const serve::ServiceCounters counters = service.Counters();
             const std::uint64_t expected =
                 (config.warmup + config.reps) * tags * config.rounds_per_tag;
-            point.lost_rounds = expected - std::min<std::uint64_t>(
-                                               expected, point.updates);
-            point.parity_mismatches = mismatches.load();
-            point.order_violations = order_violations.load();
-            result.points.push_back(point);
+            const std::uint64_t lost =
+                expected - std::min<std::uint64_t>(expected, updates.load());
+            const double p50_us =
+                IntervalQuantile(delta, "serve.e2e_latency_us", 0.50);
+            const double p99_us =
+                IntervalQuantile(delta, "serve.e2e_latency_us", 0.99);
+            const double p999_us =
+                IntervalQuantile(delta, "serve.e2e_latency_us", 0.999);
+            // engine_threads is the resolved pool size; assembler_threads
+            // is clamped to the shard count.
+            const std::size_t engines = service.engine().threads();
+            const std::size_t assemblers = service.options().assembler_threads;
+            points.Push(JsonValue::Object(
+                {{"tags", tags}, {"shards", service.shard_count()},
+                 {"producers", producers}, {"engine_threads", engines},
+                 {"assembler_threads", assemblers},
+                 {"rounds_per_sec", stats.ToJson()}, {"p50_us", p50_us},
+                 {"p99_us", p99_us}, {"p999_us", p999_us},
+                 // producer pushes bounced by backpressure
+                 {"retries", retries.load()},
+                 {"admitted", counters.admitted_frames},
+                 {"refused", counters.refused_frames},
+                 {"shed", counters.shed_rounds},
+                 {"expired", counters.expired_rounds},
+                 {"duplicates", counters.duplicate_frames},
+                 {"localized", counters.localized_rounds},
+                 {"updates", updates.load()}, {"lost", lost},
+                 {"parity_mismatches", mismatches.load()},
+                 {"order_violations", order_violations.load()}}));
 
-            result.total_lost += point.lost_rounds;
-            result.total_mismatches += point.parity_mismatches;
-            result.total_order_violations += point.order_violations;
-            result.total_shed += point.counters.shed_rounds;
-            result.total_expired += point.counters.expired_rounds;
-            result.total_duplicates += point.counters.duplicate_frames;
-            result.worst_p99_us = std::max(result.worst_p99_us, point.p99_us);
+            total_lost += lost;
+            total_mismatches += mismatches.load();
+            total_order += order_violations.load();
+            total_shed += counters.shed_rounds;
+            total_expired += counters.expired_rounds;
+            total_duplicates += counters.duplicate_frames;
+            worst_p99_us = std::max(worst_p99_us, p99_us);
+            if (tags == baseline_tags) {
+              best_service = std::max(best_service, stats.mean);
+            }
 
-            std::cout << "  tags=" << tags << " shards=" << point.shards
-                      << " producers=" << producers
-                      << " engine_threads=" << point.engine_threads
-                      << " assemblers=" << point.assembler_threads << "  "
-                      << stats.mean << " rounds/sec (stddev " << stats.stddev
-                      << ")  p50=" << point.p50_us / 1e3
-                      << "ms p99=" << point.p99_us / 1e3
-                      << "ms p999=" << point.p999_us / 1e3 << "ms  lost="
-                      << point.lost_rounds << " mismatch="
-                      << point.parity_mismatches << " retries=" << point.retries
-                      << "\n";
+            std::cout << "  tags=" << tags << " shards="
+                      << service.shard_count() << " producers=" << producers
+                      << " engine_threads=" << engines
+                      << " assemblers=" << assemblers << "  " << stats.mean
+                      << " rounds/sec (stddev " << stats.stddev
+                      << ")  p50=" << p50_us / 1e3 << "ms p99=" << p99_us / 1e3
+                      << "ms p999=" << p999_us / 1e3 << "ms  lost=" << lost
+                      << " mismatch=" << mismatches.load()
+                      << " retries=" << retries.load() << "\n";
           }
         }
       }
@@ -1313,39 +1241,36 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
   }
 
   // Baseline at the largest tag count, most producers.
-  result.baseline_tags = config.tags.back();
   const std::size_t producers = config.producers.back();
   const std::vector<std::vector<std::size_t>> picks = MakePicks(
-      result.baseline_tags, config.rounds_per_tag, dataset.rounds.size());
+      baseline_tags, config.rounds_per_tag, dataset.rounds.size());
   std::cerr << "running single-mutex Collector baseline...\n";
   core::LocalizationEngine baseline_engine(dataset.deployment,
                                            sim::PaperLocalizerConfig(dataset),
                                            {.threads = 1});
-  result.baseline_rounds_per_sec = bloc::bench::MeasureRepeated(
+  const bloc::bench::Stats baseline = bloc::bench::MeasureRepeated(
       config.warmup, config.reps, [&] {
         const double sec = RunBaselinePass(baseline_engine, dataset, picks,
                                            producers, config.rounds_per_tag);
-        return static_cast<double>(result.baseline_tags *
-                                   config.rounds_per_tag) /
+        return static_cast<double>(baseline_tags * config.rounds_per_tag) /
                sec;
       });
-
-  double best_service = 0.0;
-  for (const SoakPoint& p : result.points) {
-    if (p.tags == result.baseline_tags) {
-      best_service = std::max(best_service, p.rounds_per_sec.mean);
-    }
-  }
-  if (result.baseline_rounds_per_sec.mean > 0.0) {
-    result.throughput_ratio =
-        best_service / result.baseline_rounds_per_sec.mean;
-  }
-  std::cout << "  baseline (single-mutex collector, tags="
-            << result.baseline_tags << ")  "
-            << result.baseline_rounds_per_sec.mean
+  const double throughput_ratio =
+      baseline.mean > 0.0 ? best_service / baseline.mean : 0.0;
+  std::cout << "  baseline (single-mutex collector, tags=" << baseline_tags
+            << ")  " << baseline.mean
             << " rounds/sec  -> service/baseline throughput ratio x"
-            << result.throughput_ratio << "\n";
-  return result;
+            << throughput_ratio << "\n";
+  return JsonValue::Object(
+      {{"rounds_per_tag", config.rounds_per_tag},
+       {"baseline_tags", baseline_tags},
+       {"baseline_rounds_per_sec", baseline.ToJson()},
+       {"throughput_ratio", throughput_ratio}, {"total_lost", total_lost},
+       {"total_parity_mismatches", total_mismatches},
+       {"total_order_violations", total_order}, {"total_shed", total_shed},
+       {"total_expired", total_expired},
+       {"total_duplicates", total_duplicates},
+       {"worst_p99_us", worst_p99_us}, {"points", std::move(points)}});
 }
 
 // ---------------------------------------------------------------------------
@@ -1356,24 +1281,10 @@ SoakResult RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
 // parse -> decode -> ingest end to end; positions are still checked
 // bit-identical to the serial engine and per-tag round order must hold.
 
-struct WireSmoke {
-  std::size_t tags = 0;
-  std::size_t rounds_per_tag = 0;
-  std::size_t producers = 0;
-  bloc::bench::Stats rounds_per_sec;
-  std::uint64_t updates = 0;
-  std::uint64_t expected = 0;
-  std::uint64_t lost = 0;
-  std::uint64_t refused_frames = 0;
-  std::uint64_t parity_mismatches = 0;
-  std::uint64_t order_violations = 0;
-};
-
-WireSmoke RunWireSmoke(const SoakConfig& config) {
-  WireSmoke smoke;
-  smoke.tags = std::min<std::size_t>(config.tags.front(), 64);
-  smoke.rounds_per_tag = config.rounds_per_tag;
-  smoke.producers = config.producers.front();
+JsonValue RunWireSmoke(const SoakConfig& config) {
+  const std::size_t tags = std::min<std::size_t>(config.tags.front(), 64);
+  const std::size_t rounds_per_tag = config.rounds_per_tag;
+  const std::size_t producers = config.producers.front();
 
   std::cerr << "generating fig9 workload (" << config.dataset_locations
             << " locations) for the wire smoke...\n";
@@ -1387,13 +1298,14 @@ WireSmoke RunWireSmoke(const SoakConfig& config) {
   const std::vector<core::LocationResult> reference =
       reference_engine.LocateBatch(dataset.rounds);
   const std::vector<std::vector<std::size_t>> picks =
-      MakePicks(smoke.tags, smoke.rounds_per_tag, dataset.rounds.size());
+      MakePicks(tags, rounds_per_tag, dataset.rounds.size());
 
   const std::uint64_t per_pass =
-      static_cast<std::uint64_t>(smoke.tags) * smoke.rounds_per_tag;
+      static_cast<std::uint64_t>(tags) * rounds_per_tag;
   std::atomic<std::uint64_t> updates{0};
   std::atomic<std::uint64_t> mismatches{0};
   std::atomic<std::uint64_t> order_violations{0};
+  std::uint64_t expected = 0, refused_frames = 0;
 
   const auto pass = [&]() -> double {
     serve::ServiceOptions so;
@@ -1402,13 +1314,13 @@ WireSmoke RunWireSmoke(const SoakConfig& config) {
     so.engine_threads = config.engine_threads.front();
     // The OnMessage path cannot retry a refused frame (TCP gives the sender
     // no backpressure signal), so the rings are sized for the whole pass.
-    so.ring_capacity = smoke.tags * smoke.rounds_per_tag *
+    so.ring_capacity = tags * rounds_per_tag *
                        dataset.deployment.anchors.size();
     serve::LocalizationService service(
         dataset.deployment, sim::PaperLocalizerConfig(dataset), so);
     std::atomic<std::uint64_t> pass_updates{0};
     // One writer per `delivered[tag]` slot: the tag's assembler thread.
-    std::vector<std::uint64_t> delivered(smoke.tags, 0);
+    std::vector<std::uint64_t> delivered(tags, 0);
     service.SetUpdateCallback([&](const serve::PositionUpdate& u) {
       updates.fetch_add(1, std::memory_order_relaxed);
       const std::uint64_t expected_round = delivered[u.tag_id];
@@ -1430,12 +1342,12 @@ WireSmoke RunWireSmoke(const SoakConfig& config) {
 
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> workers;
-    workers.reserve(smoke.producers);
-    for (std::size_t p = 0; p < smoke.producers; ++p) {
+    workers.reserve(producers);
+    for (std::size_t p = 0; p < producers; ++p) {
       workers.emplace_back([&, p] {
         net::TcpTransport client("127.0.0.1", server.port());
-        for (std::size_t k = 0; k < smoke.rounds_per_tag; ++k) {
-          for (std::size_t t = p; t < smoke.tags; t += smoke.producers) {
+        for (std::size_t k = 0; k < rounds_per_tag; ++k) {
+          for (std::size_t t = p; t < tags; t += producers) {
             const net::MeasurementRound& src = dataset.rounds[picks[t][k]];
             for (const anchor::CsiReport& report : src.reports) {
               anchor::CsiReport frame = report;
@@ -1460,235 +1372,124 @@ WireSmoke RunWireSmoke(const SoakConfig& config) {
                            .count();
     server.Stop();
     service.Stop();
-    smoke.expected += per_pass;
-    smoke.refused_frames += service.Counters().refused_frames;
+    expected += per_pass;
+    refused_frames += service.Counters().refused_frames;
     return static_cast<double>(per_pass) / sec;
   };
 
-  std::cout << "\n=== wire soak smoke (TCP loopback, tags=" << smoke.tags
-            << ", " << smoke.rounds_per_tag << " rounds/tag, "
-            << smoke.producers << " connections) ===\n";
-  smoke.rounds_per_sec =
+  std::cout << "\n=== wire soak smoke (TCP loopback, tags=" << tags
+            << ", " << rounds_per_tag << " rounds/tag, "
+            << producers << " connections) ===\n";
+  const bloc::bench::Stats rounds_per_sec =
       bloc::bench::MeasureRepeated(config.warmup, config.reps, pass);
-  smoke.updates = updates.load();
-  smoke.lost = smoke.expected - std::min(smoke.expected, smoke.updates);
-  smoke.parity_mismatches = mismatches.load();
-  smoke.order_violations = order_violations.load();
+  const std::uint64_t lost = expected - std::min(expected, updates.load());
 
-  std::cout << "  " << smoke.rounds_per_sec.mean << " rounds/sec (stddev "
-            << smoke.rounds_per_sec.stddev << ")  updates=" << smoke.updates
-            << "/" << smoke.expected << " lost=" << smoke.lost
-            << " refused=" << smoke.refused_frames
-            << " mismatch=" << smoke.parity_mismatches
-            << " order_violations=" << smoke.order_violations << "\n";
-  return smoke;
-}
-
-void WriteSoakJson(std::ostream& out, const SoakResult& soak) {
-  out << ",\n  \"soak\": {\n"
-      << "    \"rounds_per_tag\": " << soak.rounds_per_tag << ",\n"
-      << "    \"baseline_tags\": " << soak.baseline_tags << ",\n"
-      << "    \"baseline_rounds_per_sec\": ";
-  soak.baseline_rounds_per_sec.WriteJson(out);
-  out << ",\n    \"throughput_ratio\": " << soak.throughput_ratio << ",\n"
-      << "    \"total_lost\": " << soak.total_lost << ",\n"
-      << "    \"total_parity_mismatches\": " << soak.total_mismatches << ",\n"
-      << "    \"total_order_violations\": " << soak.total_order_violations
-      << ",\n"
-      << "    \"total_shed\": " << soak.total_shed << ",\n"
-      << "    \"total_expired\": " << soak.total_expired << ",\n"
-      << "    \"total_duplicates\": " << soak.total_duplicates << ",\n"
-      << "    \"worst_p99_us\": " << soak.worst_p99_us << ",\n"
-      << "    \"points\": [\n";
-  for (std::size_t i = 0; i < soak.points.size(); ++i) {
-    const SoakPoint& p = soak.points[i];
-    out << "      {\"tags\": " << p.tags << ", \"shards\": " << p.shards
-        << ", \"producers\": " << p.producers
-        << ", \"engine_threads\": " << p.engine_threads
-        << ", \"assembler_threads\": " << p.assembler_threads
-        << ", \"rounds_per_sec\": ";
-    p.rounds_per_sec.WriteJson(out);
-    out << ", \"p50_us\": " << p.p50_us << ", \"p99_us\": " << p.p99_us
-        << ", \"p999_us\": " << p.p999_us << ", \"retries\": " << p.retries
-        << ", \"admitted\": " << p.counters.admitted_frames
-        << ", \"refused\": " << p.counters.refused_frames
-        << ", \"shed\": " << p.counters.shed_rounds
-        << ", \"expired\": " << p.counters.expired_rounds
-        << ", \"duplicates\": " << p.counters.duplicate_frames
-        << ", \"localized\": " << p.counters.localized_rounds
-        << ", \"updates\": " << p.updates << ", \"lost\": " << p.lost_rounds
-        << ", \"parity_mismatches\": " << p.parity_mismatches
-        << ", \"order_violations\": " << p.order_violations << "}"
-        << (i + 1 < soak.points.size() ? "," : "") << "\n";
-  }
-  out << "    ]\n  }";
-}
-
-void WriteSweepJson(const std::string& path,
-                    const std::vector<SweepPoint>* sweep,
-                    const KernelComparison* kernels,
-                    const FullPhyComparison* fullphy,
-                    const std::vector<SweepPoint>* fullphy_sweep,
-                    const DatasetSweep* dataset,
-                    const ObsOverhead* obs_overhead,
-                    const SearchComparison* search,
-                    const TrackComparison* track,
-                    const SoakResult* soak,
-                    const WireSmoke* wire,
-                    std::size_t batch_rounds) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_perf: cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n"
-      << "  \"workload\": \"fig9\",\n"
-      << "  \"rounds_per_batch\": " << batch_rounds << ",\n"
-      << "  \"grid_resolution\": 0.075,\n"
-      << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency();
-  if (kernels != nullptr) {
-    out << ",\n  \"likelihood_map\": {\"reference_ms_per_map\": "
-        << kernels->reference_ms_per_map
-        << ", \"steering_plan_ms_per_map\": " << kernels->plan_ms_per_map
-        << ", \"speedup\": " << kernels->speedup << "}";
-  }
-  if (fullphy != nullptr) {
-    out << ",\n  \"fullphy_measurement\": {\"reference_ms_per_round\": "
-        << fullphy->reference_ms_per_round
-        << ", \"planned_ms_per_round\": " << fullphy->planned_ms_per_round
-        << ", \"speedup\": " << fullphy->speedup
-        << ", \"reference_stats\": ";
-    fullphy->reference_stats.WriteJson(out);
-    out << ", \"planned_stats\": ";
-    fullphy->planned_stats.WriteJson(out);
-    out << "}";
-  }
-  if (search != nullptr) {
-    out << ",\n  \"search\": {\"exhaustive_ms_per_map\": "
-        << search->exhaustive_ms_per_map
-        << ", \"coarse_ms_per_map\": " << search->coarse_ms_per_map
-        << ", \"speedup\": " << search->speedup
-        << ", \"parity_rounds\": " << search->parity_rounds
-        << ", \"parity_mismatches\": " << search->parity_mismatches
-        << ", \"fallback_rounds\": " << search->fallback_rounds
-        << ", \"evaluated_fraction\": " << search->evaluated_fraction
-        << ", \"exhaustive_stats\": ";
-    search->exhaustive_stats.WriteJson(out);
-    out << ", \"coarse_stats\": ";
-    search->coarse_stats.WriteJson(out);
-    out << "}";
-  }
-  if (track != nullptr) {
-    out << ",\n  \"track\": {\"rounds\": " << track->rounds
-        << ", \"speedup\": " << track->speedup
-        << ", \"gated_rounds\": " << track->gated_rounds
-        << ", \"gate_misses\": " << track->gate_misses
-        << ", \"cells_ungated\": " << track->cells_ungated
-        << ", \"cells_gated\": " << track->cells_gated
-        << ", \"evaluated_fraction\": " << track->evaluated_fraction
-        << ", \"raw_median_m\": " << track->raw_median_m
-        << ", \"tracked_median_m\": " << track->tracked_median_m
-        << ", \"gated_median_m\": " << track->gated_median_m
-        << ", \"parity_rounds\": " << track->parity_rounds
-        << ", \"parity_mismatches\": " << track->parity_mismatches
-        << ", \"ungated_ms_per_round\": ";
-    track->ungated_ms_per_round.WriteJson(out);
-    out << ", \"gated_ms_per_round\": ";
-    track->gated_ms_per_round.WriteJson(out);
-    out << "}";
-  }
-  if (obs_overhead != nullptr) {
-    out << ",\n  \"observability\": {\"enabled_ms_per_round\": "
-        << obs_overhead->enabled_ms_per_round
-        << ", \"disabled_ms_per_round\": "
-        << obs_overhead->disabled_ms_per_round
-        << ", \"overhead_pct\": " << obs_overhead->overhead_pct
-        << ", \"enabled_stats\": ";
-    obs_overhead->enabled_stats.WriteJson(out);
-    out << ", \"disabled_stats\": ";
-    obs_overhead->disabled_stats.WriteJson(out);
-    out << "}";
-  }
-  if (soak != nullptr) WriteSoakJson(out, *soak);
-  if (wire != nullptr) {
-    out << ",\n  \"soak_wire\": {\"tags\": " << wire->tags
-        << ", \"rounds_per_tag\": " << wire->rounds_per_tag
-        << ", \"producers\": " << wire->producers
-        << ", \"updates\": " << wire->updates
-        << ", \"expected\": " << wire->expected
-        << ", \"lost\": " << wire->lost
-        << ", \"refused_frames\": " << wire->refused_frames
-        << ", \"parity_mismatches\": " << wire->parity_mismatches
-        << ", \"order_violations\": " << wire->order_violations
-        << ", \"rounds_per_sec\": ";
-    wire->rounds_per_sec.WriteJson(out);
-    out << "}";
-  }
-  if (dataset != nullptr) {
-    out << ",\n  \"dataset_store\": {\"locations\": " << dataset->locations
-        << ", \"cold_generate_ms\": " << dataset->cold_generate_ms
-        << ", \"warm_load_ms\": " << dataset->warm_load_ms
-        << ", \"speedup\": " << dataset->speedup
-        << ", \"encode_ms\": " << dataset->encode_ms
-        << ", \"decode_ms\": " << dataset->decode_ms
-        << ", \"file_mb\": " << dataset->file_mb
-        << ", \"cold_stats\": ";
-    dataset->cold_stats.WriteJson(out);
-    out << ", \"warm_stats\": ";
-    dataset->warm_stats.WriteJson(out);
-    out << ", \"encode_stats\": ";
-    dataset->encode_stats.WriteJson(out);
-    out << ", \"decode_stats\": ";
-    dataset->decode_stats.WriteJson(out);
-    out << "}";
-  }
-  if (fullphy_sweep != nullptr) {
-    out << ",\n  \"fullphy_results\": [\n";
-    for (std::size_t i = 0; i < fullphy_sweep->size(); ++i) {
-      out << "    {\"threads\": " << (*fullphy_sweep)[i].threads
-          << ", \"rounds_per_sec\": " << (*fullphy_sweep)[i].rounds_per_sec
-          << ", \"speedup_vs_1\": "
-          << (*fullphy_sweep)[i].rounds_per_sec /
-                 (*fullphy_sweep)[0].rounds_per_sec
-          << "}" << (i + 1 < fullphy_sweep->size() ? "," : "") << "\n";
-    }
-    out << "  ]";
-  }
-  if (sweep != nullptr) {
-    out << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < sweep->size(); ++i) {
-      out << "    {\"threads\": " << (*sweep)[i].threads
-          << ", \"rounds_per_sec\": " << (*sweep)[i].rounds_per_sec
-          << ", \"speedup_vs_1\": "
-          << (*sweep)[i].rounds_per_sec / (*sweep)[0].rounds_per_sec << "}"
-          << (i + 1 < sweep->size() ? "," : "") << "\n";
-    }
-    out << "  ]";
-  }
-  out << "\n}\n";
-  std::cout << "  wrote " << path << "\n";
+  std::cout << "  " << rounds_per_sec.mean << " rounds/sec (stddev "
+            << rounds_per_sec.stddev << ")  updates=" << updates.load() << "/"
+            << expected << " lost=" << lost << " refused=" << refused_frames
+            << " mismatch=" << mismatches.load()
+            << " order_violations=" << order_violations.load() << "\n";
+  return JsonValue::Object(
+      {{"tags", tags}, {"rounds_per_tag", rounds_per_tag},
+       {"producers", producers}, {"updates", updates.load()},
+       {"expected", expected}, {"lost", lost},
+       {"refused_frames", refused_frames},
+       {"parity_mismatches", mismatches.load()},
+       {"order_violations", order_violations.load()},
+       {"rounds_per_sec", rounds_per_sec.ToJson()}});
 }
 
 // ---------------------------------------------------------------------------
 // Regress mode (--mode=regress): replay committed BENCH_*.json baselines.
-// Each section a baseline records is re-measured once (shared across
-// baseline files) and gated through bench::RegressGate. Sections whose
+// Each section a baseline records is re-measured into the same JsonValue
+// --json writes (once per run; a figure section once per baseline file,
+// since the baseline defines its workload), and every row of
+// kRegressChecks compares one path of the baseline section with the same
+// path of the fresh one through bench::RegressGate. Sections whose
 // workloads have their own dedicated CI jobs (soak, wire, full sweeps) are
 // logged as skipped rather than silently ignored.
+
+enum class Direction { kAtLeast, kAtMost, kZero, kOverheadBudget };
+
+struct RegressCheck {
+  std::string_view section;
+  std::string_view path;  // same dotted path in the baseline and fresh section
+  Direction direction;
+  /// Baseline bench::Stats blocks whose noise widens the band.
+  std::vector<std::string_view> noise = {};
+  bool abs_only = false;  // absolute timing: gated only under --regress-abs
+  double tol_pct = -1.0;  // <0: --regress-tol
+  std::string_view label = {};  // log name, when it is not the path
+};
+
+const RegressCheck kRegressChecks[] = {
+    {"likelihood_map", "speedup", Direction::kAtLeast},
+    {"likelihood_map", "steering_plan_ms_per_map", Direction::kAtMost, {},
+     true},
+    {"search", "parity_mismatches", Direction::kZero},
+    {"search", "evaluated_fraction", Direction::kAtMost},
+    {"search", "speedup", Direction::kAtLeast,
+     {"exhaustive_stats", "coarse_stats"}},
+    {"search", "coarse_ms_per_map", Direction::kAtMost, {"coarse_stats"},
+     true},
+    // Overhead percentages are noisy near zero: the budget is the larger
+    // of the absolute 5% ceiling and baseline + 5 points.
+    {"observability", "overhead_pct", Direction::kOverheadBudget},
+    // Accuracy is deterministic for a fixed seed: a tight 10% band
+    // catches algorithmic regressions without re-tuning the gate.
+    {"figure", "median_error_m", Direction::kAtMost, {}, false, 10.0},
+    {"figure", "p90_error_m", Direction::kAtMost, {}, false, 10.0},
+    {"figure", "eval_ms_per_round.p50", Direction::kAtMost,
+     {"eval_ms_per_round"}, true, -1.0, "eval_ms_per_round"},
+};
+
+/// Re-measures one baseline section: the fixed fig9 workloads of the sweep
+/// sections, or the workload a figure section records (name, locations,
+/// seed, threads), written through bench::FigureJson like the figure bench.
+JsonValue MeasureSection(std::string_view section, const JsonValue& base,
+                         std::size_t sweep_rounds,
+                         const bloc::bench::CommonFlags& common) {
+  if (section == "likelihood_map") return RunKernelComparison();
+  if (section == "search") return RunSearchComparison(common.coarse_stride);
+  if (section == "observability") return RunObsOverheadCheck(sweep_rounds);
+  const JsonValue* name_node = base.Find("name");
+  const std::string name =
+      name_node != nullptr ? name_node->str : std::string("figure");
+  const auto locations =
+      static_cast<std::size_t>(base.Number("locations", 100));
+  const auto seed = static_cast<std::uint64_t>(base.Number("seed", 1));
+  const auto threads = static_cast<std::size_t>(base.Number("threads", 1));
+  std::cerr << "regenerating " << name << " workload (" << locations
+            << " locations, seed " << seed << ")...\n";
+  sim::DatasetOptions options;
+  options.locations = locations;
+  const sim::Dataset ds =
+      sim::GenerateDataset(sim::PaperTestbed(seed), options);
+  core::LocalizerConfig config = sim::PaperLocalizerConfig(ds);
+  common.Apply(config);
+  std::vector<double> errors;
+  const bloc::bench::Stats eval_ms = bloc::bench::MeasureRepeated(1, 3, [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    errors = sim::EvaluateBloc(ds, config, threads);
+    const std::chrono::duration<double, std::milli> ms =
+        std::chrono::steady_clock::now() - t0;
+    return ms.count() /
+           static_cast<double>(std::max<std::size_t>(ds.rounds.size(), 1));
+  });
+  return *bloc::bench::FigureJson(name, locations, seed, threads,
+                                  eval::ComputeStats(errors), eval_ms)
+              .Find("figure");
+}
 
 std::size_t RunRegress(const std::vector<std::string>& paths, double tol_pct,
                        bool gate_abs, std::size_t sweep_rounds,
                        const bloc::bench::CommonFlags& common) {
-  using bloc::bench::BaselineCv;
-  using bloc::bench::JsonValue;
   bloc::bench::RegressGate gate(tol_pct);
-  std::optional<KernelComparison> kernels;
-  std::optional<SearchComparison> search;
-  std::optional<ObsOverhead> obs_overhead;
+  std::map<std::string, JsonValue> measured;  // fresh sections by key
 
   for (const std::string& path : paths) {
     std::cout << "\n=== regress vs " << path << " ===\n";
-    const std::optional<JsonValue> root = bloc::bench::ParseJsonFile(path);
+    const std::optional<JsonValue> root = obs::ParseJsonFile(path);
     if (!root) {
       std::cerr << "bench_perf: cannot read or parse baseline " << path
                 << "\n";
@@ -1696,85 +1497,42 @@ std::size_t RunRegress(const std::vector<std::string>& paths, double tol_pct,
       continue;
     }
 
-    if (const JsonValue* base = root->Find("likelihood_map")) {
-      if (!kernels) kernels = RunKernelComparison();
-      gate.AtLeast("likelihood_map.speedup", base->Number("speedup"),
-                   kernels->speedup);
-      if (gate_abs) {
-        gate.AtMost("likelihood_map.steering_plan_ms_per_map",
-                    base->Number("steering_plan_ms_per_map"),
-                    kernels->plan_ms_per_map);
+    for (const RegressCheck& check : kRegressChecks) {
+      const JsonValue* base = root->Find(check.section);
+      if (base == nullptr || (check.abs_only && !gate_abs)) continue;
+      const bool figure = check.section == "figure";
+      const std::string key =
+          figure ? path + ":figure" : std::string(check.section);
+      auto it = measured.find(key);
+      if (it == measured.end()) {
+        it = measured
+                 .emplace(key, MeasureSection(check.section, *base,
+                                              sweep_rounds, common))
+                 .first;
       }
-    }
-
-    if (const JsonValue* base = root->Find("search")) {
-      if (!search) search = RunSearchComparison(common.coarse_stride);
-      gate.Zero("search.parity_mismatches",
-                static_cast<double>(search->parity_mismatches));
-      gate.AtMost("search.evaluated_fraction",
-                  base->Number("evaluated_fraction"),
-                  search->evaluated_fraction);
-      gate.AtLeast("search.speedup", base->Number("speedup"),
-                   search->speedup,
-                   BaselineCv(*base, "exhaustive_stats") +
-                       BaselineCv(*base, "coarse_stats"));
-      if (gate_abs) {
-        gate.AtMost("search.coarse_ms_per_map",
-                    base->Number("coarse_ms_per_map"),
-                    search->coarse_ms_per_map,
-                    BaselineCv(*base, "coarse_stats"));
-      }
-    }
-
-    if (const JsonValue* base = root->Find("observability")) {
-      if (!obs_overhead) obs_overhead = RunObsOverheadCheck(sweep_rounds);
-      // Overhead percentages are noisy near zero: the budget is the larger
-      // of the absolute 5% ceiling and baseline + 5 points.
-      gate.Budget("observability.overhead_pct",
-                  std::max(5.0, base->Number("overhead_pct") + 5.0),
-                  obs_overhead->overhead_pct);
-    }
-
-    if (const JsonValue* base = root->Find("figure")) {
-      const JsonValue* name_node = base->Find("name");
+      const JsonValue& fresh = it->second;
       const std::string name =
-          name_node != nullptr ? name_node->str : std::string("figure");
-      const std::size_t locations =
-          static_cast<std::size_t>(base->Number("locations", 100));
-      const std::uint64_t seed =
-          static_cast<std::uint64_t>(base->Number("seed", 1));
-      const std::size_t threads =
-          static_cast<std::size_t>(base->Number("threads", 1));
-      std::cerr << "regenerating " << name << " workload (" << locations
-                << " locations, seed " << seed << ")...\n";
-      sim::DatasetOptions options;
-      options.locations = locations;
-      const sim::Dataset ds =
-          sim::GenerateDataset(sim::PaperTestbed(seed), options);
-      core::LocalizerConfig config = sim::PaperLocalizerConfig(ds);
-      common.Apply(config);
-      std::vector<double> errors;
-      const bloc::bench::Stats eval_ms = bloc::bench::MeasureRepeated(
-          1, 3, [&] {
-            const auto t0 = std::chrono::steady_clock::now();
-            errors = sim::EvaluateBloc(ds, config, threads);
-            const std::chrono::duration<double, std::milli> ms =
-                std::chrono::steady_clock::now() - t0;
-            return ms.count() /
-                   static_cast<double>(std::max<std::size_t>(
-                       ds.rounds.size(), 1));
-          });
-      const eval::ErrorStats stats = eval::ComputeStats(errors);
-      // Accuracy is deterministic for a fixed seed: a tight 10% band
-      // catches algorithmic regressions without re-tuning the gate.
-      gate.AtMost(name + ".median_error_m", base->Number("median_error_m"),
-                  stats.median, 0.0, 10.0);
-      gate.AtMost(name + ".p90_error_m", base->Number("p90_error_m"),
-                  stats.p90, 0.0, 10.0);
-      if (gate_abs) {
-        gate.AtMost(name + ".eval_ms_per_round",
-                    base->Number("eval_ms_per_round.p50"), eval_ms.p50,
-                    BaselineCv(*base, "eval_ms_per_round"));
+          (figure ? fresh.Find("name")->str : std::string(check.section)) +
+          "." + std::string(check.label.empty() ? check.path : check.label);
+      const double baseline = base->Number(check.path);
+      const double now = fresh.Number(check.path);
+      double cv = 0.0;
+      for (const std::string_view stats : check.noise) {
+        cv += bloc::bench::BaselineCv(*base, stats);
+      }
+      switch (check.direction) {
+        case Direction::kAtLeast:
+          gate.AtLeast(name, baseline, now, cv, check.tol_pct);
+          break;
+        case Direction::kAtMost:
+          gate.AtMost(name, baseline, now, cv, check.tol_pct);
+          break;
+        case Direction::kZero:
+          gate.Zero(name, now);
+          break;
+        case Direction::kOverheadBudget:
+          gate.Budget(name, std::max(5.0, baseline + 5.0), now);
+          break;
       }
     }
 
@@ -1924,16 +1682,8 @@ int main(int argc, char** argv) {
     benchmark::Shutdown();
   }
 
-  KernelComparison kernels;
-  std::vector<SweepPoint> sweep;
-  FullPhyComparison fullphy;
-  std::vector<SweepPoint> fullphy_sweep;
-  DatasetSweep dataset;
-  ObsOverhead obs_overhead;
-  SearchComparison search;
-  TrackComparison track;
-  SoakResult soak;
-  WireSmoke wire;
+  JsonValue kernels, sweep, fullphy, fullphy_sweep, dataset, obs_overhead,
+      search, track, soak, wire;
   const bool run_localize = mode == "all" || mode == "localize";
   const bool run_fullphy = mode == "all" || mode == "fullphy";
   const bool run_dataset = mode == "all" || mode == "dataset";
@@ -1988,16 +1738,24 @@ int main(int argc, char** argv) {
   }
   if (run_wire) wire = RunWireSmoke(soak_config);
   if (!json_path.empty()) {
-    WriteSweepJson(json_path, run_localize ? &sweep : nullptr,
-                   run_localize ? &kernels : nullptr,
-                   run_fullphy ? &fullphy : nullptr,
-                   run_fullphy ? &fullphy_sweep : nullptr,
-                   run_dataset ? &dataset : nullptr,
-                   run_obs ? &obs_overhead : nullptr,
-                   run_search ? &search : nullptr,
-                   run_track ? &track : nullptr,
-                   run_soak ? &soak : nullptr,
-                   run_wire ? &wire : nullptr, sweep_rounds);
+    JsonValue doc = JsonValue::Object(
+        {{"workload", "fig9"},
+         {"rounds_per_batch", sweep_rounds},
+         {"grid_resolution", 0.075},
+         {"hardware_concurrency", std::thread::hardware_concurrency()}});
+    if (run_localize) doc.Set("likelihood_map", kernels);
+    if (run_fullphy) doc.Set("fullphy_measurement", fullphy);
+    if (run_search) doc.Set("search", search);
+    if (run_track) doc.Set("track", track);
+    if (run_obs) doc.Set("observability", obs_overhead);
+    if (run_soak) doc.Set("soak", soak);
+    if (run_wire) doc.Set("soak_wire", wire);
+    if (run_dataset) doc.Set("dataset_store", dataset);
+    if (run_fullphy) doc.Set("fullphy_results", fullphy_sweep);
+    if (run_localize) doc.Set("results", sweep);
+    if (obs::WriteJsonFile(json_path, doc)) {
+      std::cout << "  wrote " << json_path << "\n";
+    }
   }
   bloc::bench::FinishObservability(common);
   if (!scrape_failures.empty()) {
@@ -2007,82 +1765,79 @@ int main(int argc, char** argv) {
     }
     return 1;
   }
-  if (run_obs && obs_guard_pct >= 0.0 &&
-      obs_overhead.overhead_pct > obs_guard_pct) {
-    std::cerr << "bench_perf: observability overhead "
-              << obs_overhead.overhead_pct << "% exceeds the --obs-guard="
-              << obs_guard_pct << "% budget\n";
+  // Counts recorded in a section, for the guards below.
+  const auto count = [](const JsonValue& section, std::string_view path) {
+    return static_cast<std::uint64_t>(section.Number(path));
+  };
+  const auto gate = [&](const char* what, const JsonValue& section,
+                        std::initializer_list<std::pair<const char*,
+                                                        const char*>> checks) {
+    bool failed = false;
+    for (const auto& [path, noun] : checks) {
+      if (const std::uint64_t n = count(section, path); n > 0) {
+        std::cerr << "bench_perf: " << what << " failed: " << n << " "
+                  << noun << "\n";
+        failed = true;
+      }
+    }
+    return failed;
+  };
+  const double overhead_pct = obs_overhead.Number("overhead_pct");
+  if (run_obs && obs_guard_pct >= 0.0 && overhead_pct > obs_guard_pct) {
+    std::cerr << "bench_perf: observability overhead " << overhead_pct
+              << "% exceeds the --obs-guard=" << obs_guard_pct
+              << "% budget\n";
     return 1;
   }
-  if (run_search && search_guard && search.parity_mismatches > 0) {
+  if (run_search && search_guard && count(search, "parity_mismatches") > 0) {
     std::cerr << "bench_perf: coarse-to-fine search selected "
-              << search.parity_mismatches << "/" << search.parity_rounds
+              << count(search, "parity_mismatches") << "/"
+              << count(search, "parity_rounds")
               << " positions differing from exhaustive (--search-guard)\n";
     return 1;
   }
-  if (run_track && track_parity && track.parity_mismatches > 0) {
-    std::cerr << "bench_perf: with gating off " << track.parity_mismatches
-              << "/" << track.parity_rounds
+  if (run_track && track_parity && count(track, "parity_mismatches") > 0) {
+    std::cerr << "bench_perf: with gating off "
+              << count(track, "parity_mismatches") << "/"
+              << count(track, "parity_rounds")
               << " raw fixes differ from the engine pipeline "
                  "(--track-parity)\n";
     return 1;
   }
-  if (run_wire && soak_guard) {
-    bool failed = false;
-    const auto fail = [&](const std::string& why) {
-      std::cerr << "bench_perf: wire smoke SLO gate failed: " << why << "\n";
-      failed = true;
-    };
-    if (wire.lost > 0) fail(std::to_string(wire.lost) + " updates lost");
-    if (wire.refused_frames > 0) {
-      fail(std::to_string(wire.refused_frames) + " frames refused");
-    }
-    if (wire.parity_mismatches > 0) {
-      fail(std::to_string(wire.parity_mismatches) + " position mismatches");
-    }
-    if (wire.order_violations > 0) {
-      fail(std::to_string(wire.order_violations) +
-           " per-tag order violations");
-    }
-    if (failed) return 1;
+  if (run_wire && soak_guard &&
+      gate("wire smoke SLO gate", wire,
+           {{"lost", "updates lost"},
+            {"refused_frames", "frames refused"},
+            {"parity_mismatches", "position mismatches"},
+            {"order_violations", "per-tag order violations"}})) {
+    return 1;
   }
   if (run_soak && soak_guard) {
     // SLO gate: every admitted frame localized exactly once (no loss, no
     // shed, no expiry, no duplicates), every position bit-identical and in
     // per-tag order, throughput no worse than half the single-mutex
     // baseline, and p99 within the optional budget.
-    bool failed = false;
-    const auto fail = [&](const std::string& why) {
-      std::cerr << "bench_perf: soak SLO gate failed: " << why << "\n";
+    bool failed = gate(
+        "soak SLO gate", soak,
+        {{"total_lost", "rounds lost"},
+         {"total_parity_mismatches", "position mismatches"},
+         {"total_order_violations", "per-tag order violations"},
+         {"total_shed", "rounds shed under a loss-free workload"},
+         {"total_expired", "rounds expired"},
+         {"total_duplicates", "duplicate frames"}});
+    const double ratio = soak.Number("throughput_ratio");
+    if (ratio < 0.5) {
+      std::cerr << "bench_perf: soak SLO gate failed: service/baseline "
+                   "throughput ratio "
+                << ratio << " below 0.5\n";
       failed = true;
-    };
-    if (soak.total_lost > 0) {
-      fail(std::to_string(soak.total_lost) + " rounds lost");
     }
-    if (soak.total_mismatches > 0) {
-      fail(std::to_string(soak.total_mismatches) + " position mismatches");
-    }
-    if (soak.total_order_violations > 0) {
-      fail(std::to_string(soak.total_order_violations) +
-           " per-tag order violations");
-    }
-    if (soak.total_shed > 0) fail(std::to_string(soak.total_shed) +
-                                  " rounds shed under a loss-free workload");
-    if (soak.total_expired > 0) {
-      fail(std::to_string(soak.total_expired) + " rounds expired");
-    }
-    if (soak.total_duplicates > 0) {
-      fail(std::to_string(soak.total_duplicates) + " duplicate frames");
-    }
-    if (soak.throughput_ratio < 0.5) {
-      fail("service/baseline throughput ratio " +
-           std::to_string(soak.throughput_ratio) + " below 0.5");
-    }
-    if (soak_guard_p99_ms >= 0.0 &&
-        soak.worst_p99_us > soak_guard_p99_ms * 1e3) {
-      fail("worst p99 " + std::to_string(soak.worst_p99_us / 1e3) +
-           " ms exceeds the " + std::to_string(soak_guard_p99_ms) +
-           " ms budget");
+    const double worst_p99_ms = soak.Number("worst_p99_us") / 1e3;
+    if (soak_guard_p99_ms >= 0.0 && worst_p99_ms > soak_guard_p99_ms) {
+      std::cerr << "bench_perf: soak SLO gate failed: worst p99 "
+                << worst_p99_ms << " ms exceeds the " << soak_guard_p99_ms
+                << " ms budget\n";
+      failed = true;
     }
     if (failed) return 1;
   }

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
@@ -19,6 +18,7 @@
 #include "bloc/localizer.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
+#include "obs/json.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "sim/cli.h"
@@ -33,7 +33,6 @@ namespace bloc::bench {
 ///   --trace=P          Chrome trace JSON at exit (enables tracing)
 ///   --search=MODE      likelihood search: "exhaustive" or "coarse"
 ///   --coarse-stride=N  coarse decimation override (0 = SearchConfig default)
-///   --search-parity    assert coarse == exhaustive positions every round
 /// CliArgs-based benches call ReadFrom; bench_perf (which forwards unknown
 /// args to google-benchmark) feeds each argument through TryParse.
 struct CommonFlags {
@@ -42,7 +41,6 @@ struct CommonFlags {
   std::string trace_path;
   std::string search = "exhaustive";
   std::size_t coarse_stride = 0;
-  bool search_parity = false;
 
   void ReadFrom(const sim::CliArgs& args) {
     threads = args.Threads();
@@ -50,7 +48,6 @@ struct CommonFlags {
     trace_path = args.Str("trace", trace_path);
     search = args.Str("search", search);
     coarse_stride = args.SizeT("coarse-stride", coarse_stride);
-    if (args.Flag("search-parity")) search_parity = true;
   }
 
   /// Consumes one `--key=value` argument; false leaves it for the caller.
@@ -84,10 +81,6 @@ struct CommonFlags {
       coarse_stride = n;
       return true;
     }
-    if (arg == "--search-parity") {
-      search_parity = true;
-      return true;
-    }
     return false;
   }
 
@@ -104,7 +97,6 @@ struct CommonFlags {
       throw std::invalid_argument("--search must be 'exhaustive' or 'coarse'");
     }
     if (coarse_stride > 0) sc.coarse_stride = coarse_stride;
-    sc.parity_check = search_parity;
     return sc;
   }
 
@@ -193,29 +185,36 @@ Stats MeasureEvaluation(const BenchSetup& setup, std::size_t rounds,
   });
 }
 
-/// Machine-readable baseline for one figure bench: the deterministic
-/// accuracy numbers (seed-reproducible, so --mode=regress can check them
-/// exactly) plus a bench::Stats block over the repeated evaluation timing
-/// (machine-dependent; regress compares it only under --regress-abs).
+/// Machine-readable baseline for one figure bench, {"figure": {...}}: the
+/// deterministic accuracy numbers (seed-reproducible, so --mode=regress can
+/// check them exactly) plus a bench::Stats block over the repeated
+/// evaluation timing (machine-dependent; regress compares it only under
+/// --regress-abs). --mode=regress re-measures through this same function.
+inline obs::JsonValue FigureJson(const std::string& figure,
+                                 std::size_t locations, std::uint64_t seed,
+                                 std::size_t threads,
+                                 const eval::ErrorStats& errors,
+                                 const Stats& eval_ms_per_round) {
+  return obs::JsonValue::Object(
+      {{"figure", obs::JsonValue::Object(
+                      {{"name", figure},
+                       {"locations", locations},
+                       {"seed", seed},
+                       {"threads", threads},
+                       {"median_error_m", errors.median},
+                       {"p90_error_m", errors.p90},
+                       {"eval_ms_per_round", eval_ms_per_round.ToJson()}})}});
+}
+
 inline bool WriteFigureJson(const std::string& path, const std::string& figure,
                             const BenchSetup& setup,
                             const eval::ErrorStats& errors,
                             const Stats& eval_ms_per_round) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "[bench] cannot write " << path << "\n";
+  if (!obs::WriteJsonFile(
+          path, FigureJson(figure, setup.options.locations, setup.seed,
+                           setup.common.threads, errors, eval_ms_per_round))) {
     return false;
   }
-  out << "{\n  \"figure\": {\n";
-  out << "    \"name\": \"" << figure << "\",\n";
-  out << "    \"locations\": " << setup.options.locations << ",\n";
-  out << "    \"seed\": " << setup.seed << ",\n";
-  out << "    \"threads\": " << setup.common.threads << ",\n";
-  out << "    \"median_error_m\": " << errors.median << ",\n";
-  out << "    \"p90_error_m\": " << errors.p90 << ",\n";
-  out << "    \"eval_ms_per_round\": ";
-  eval_ms_per_round.WriteJson(out);
-  out << "\n  }\n}\n";
   std::cerr << "[bench] wrote " << path << "\n";
   return true;
 }
@@ -276,7 +275,7 @@ class ExperimentDriver {
   }
 
   /// The paper localizer config for `dataset` with the shared search flags
-  /// (--search / --coarse-stride / --search-parity) applied — every bench
+  /// (--search / --coarse-stride) applied — every bench
   /// evaluates through this so the flags reach the whole suite.
   core::LocalizerConfig LocalizerConfig(const sim::Dataset& dataset) const {
     core::LocalizerConfig config = sim::PaperLocalizerConfig(dataset);

@@ -7,8 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <ostream>
 #include <vector>
+
+#include "obs/json.h"
 
 namespace bloc::bench {
 
@@ -42,11 +43,14 @@ struct Stats {
     return s;
   }
 
-  /// Emits {"reps": .., "mean": .., ...} (no trailing newline).
-  void WriteJson(std::ostream& out) const {
-    out << "{\"reps\": " << reps << ", \"mean\": " << mean
-        << ", \"min\": " << min << ", \"max\": " << max << ", \"p50\": " << p50
-        << ", \"stddev\": " << stddev << "}";
+  /// {"reps": .., "mean": .., "min": .., "max": .., "p50": .., "stddev": ..}
+  obs::JsonValue ToJson() const {
+    return obs::JsonValue::Object({{"reps", reps},
+                                   {"mean", mean},
+                                   {"min", min},
+                                   {"max", max},
+                                   {"p50", p50},
+                                   {"stddev", stddev}});
   }
 };
 

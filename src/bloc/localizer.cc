@@ -46,8 +46,6 @@ struct LocalizerMetrics {
       obs::GetCounter("bloc.search.gated_rounds");
   obs::Counter& search_gate_misses =
       obs::GetCounter("bloc.search.gate_misses");
-  obs::Counter& search_parity_failures =
-      obs::GetCounter("bloc.search.parity_failures");
   obs::Histogram& search_coarse_us =
       obs::GetHistogram("bloc.search.coarse_us");
   obs::Histogram& search_refine_us =
@@ -614,31 +612,6 @@ bool TryCoarse(const Localizer& loc, LocalizerWorkspace& ws,
   return true;
 }
 
-/// Parity mode: rebuild the round exhaustively and require the selected
-/// position to be bit-identical. Throws on mismatch (CI turns this into
-/// a red job).
-void CheckParity(const Localizer& loc, LocalizerWorkspace& ws) {
-  const LocalizerMetrics& metrics = LocalizerMetrics::Get();
-  dsp::Grid2D& exhaustive = ws.search.parity_map;
-  ExhaustiveMapInto(loc, ws, exhaustive, nullptr);
-  const LocationResult coarse = loc.ScoreFused(
-      std::make_shared<dsp::Grid2D>(*ws.fused), ws.corrected);
-  const LocationResult full = loc.ScoreFused(
-      std::make_shared<dsp::Grid2D>(exhaustive), ws.corrected);
-  // Position bit-identity is the contract; the peak LIST may legitimately
-  // be shorter when refine_threshold sits above the FindPeaks floor.
-  if (coarse.position.x != full.position.x ||
-      coarse.position.y != full.position.y) {
-    metrics.search_parity_failures.Inc();
-    throw std::runtime_error(
-        "coarse-to-fine parity violation: coarse (" +
-        std::to_string(coarse.position.x) + ", " +
-        std::to_string(coarse.position.y) + ") vs exhaustive (" +
-        std::to_string(full.position.x) + ", " +
-        std::to_string(full.position.y) + ")");
-  }
-}
-
 /// The hierarchical search (DESIGN.md §5e): evaluate a strided coarse level
 /// of the steering pyramid (every sample an exact fine-grid value), bound
 /// every stride x stride block by the kappa-inflated maximum of its 3x3
@@ -679,11 +652,6 @@ void CoarseToFineSearch(const Localizer& loc, LocalizerWorkspace& ws,
     return;
   }
   if (ws.search.stats.gated) metrics.search_gated_rounds.Inc();
-  // Parity against the full exhaustive map is only meaningful ungated:
-  // a gated round deliberately searches the predicted region alone.
-  if (loc.config().search.parity_check && !ws.search.stats.gated) {
-    CheckParity(loc, ws);
-  }
 }
 
 }  // namespace

@@ -106,7 +106,6 @@ struct SearchScratch {
   std::vector<std::uint32_t> cand_cells;
   std::vector<std::uint32_t> cand_cell_block;
   std::vector<double> cand_values;
-  dsp::Grid2D parity_map;  // exhaustive map in parity mode
   SearchStats stats;
 };
 

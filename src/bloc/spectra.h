@@ -85,9 +85,6 @@ struct SearchConfig {
   /// When the survivor set exceeds this fraction of all cells, pruning is
   /// not paying for its bookkeeping: run the exhaustive path instead.
   double max_refine_fraction = 0.95;
-  /// Debug/CI mode: recompute every round exhaustively as well and throw
-  /// unless the coarse path selected the bit-identical position.
-  bool parity_check = false;
 };
 
 /// Scratch buffers for the likelihood-map kernels: the dense 2 MHz band

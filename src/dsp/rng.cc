@@ -49,9 +49,13 @@ std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
   return dist(engine_);
 }
 
+// The Gaussian draws scale a standard normal themselves: libstdc++ computes
+// `z * stddev + mean` for normal_distribution(mean, stddev), so this is the
+// same stream bit for bit, but stddev == 0 (a noiseless channel) no longer
+// violates the distribution's stddev > 0 precondition.
 double Rng::Gaussian(double stddev) {
-  std::normal_distribution<double> dist(0.0, stddev);
-  return dist(engine_);
+  std::normal_distribution<double> dist;
+  return dist(engine_) * stddev + 0.0;
 }
 
 cplx Rng::ComplexGaussian(double variance) {
@@ -60,10 +64,11 @@ cplx Rng::ComplexGaussian(double variance) {
 }
 
 void Rng::FillComplexGaussian(std::span<cplx> out, double variance) {
-  std::normal_distribution<double> dist(0.0, std::sqrt(variance / 2.0));
+  std::normal_distribution<double> dist;
+  const double s = std::sqrt(variance / 2.0);
   for (cplx& v : out) {
-    const double re = dist(engine_);
-    const double im = dist(engine_);
+    const double re = dist(engine_) * s + 0.0;
+    const double im = dist(engine_) * s + 0.0;
     v = {re, im};
   }
 }

@@ -1,35 +1,16 @@
 #include "obs/report.h"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
-#include <iostream>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace bloc::obs {
 
 namespace {
-
-void EscapeJsonString(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 std::string FmtDouble(double v) {
   std::ostringstream os;
@@ -70,40 +51,26 @@ RunReport RunReport::Capture() {
 }
 
 void RunReport::WriteJson(std::ostream& os) const {
-  os << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < metrics.counters.size(); ++i) {
-    const CounterSnapshot& c = metrics.counters[i];
-    os << (i == 0 ? "\n" : ",\n") << "    \"";
-    EscapeJsonString(os, c.name);
-    os << "\": " << c.value;
+  JsonWriter w(os);
+  w.BeginObject().Key("counters").BeginObject();
+  for (const CounterSnapshot& c : metrics.counters) w.Field(c.name, c.value);
+  w.EndObject().Key("gauges").BeginObject();
+  for (const GaugeSnapshot& g : metrics.gauges) {
+    w.Key(g.name).BeginObject().Field("value", g.value).Field("max", g.max);
+    w.EndObject();
   }
-  os << "\n  },\n  \"gauges\": {";
-  for (std::size_t i = 0; i < metrics.gauges.size(); ++i) {
-    const GaugeSnapshot& g = metrics.gauges[i];
-    os << (i == 0 ? "\n" : ",\n") << "    \"";
-    EscapeJsonString(os, g.name);
-    os << "\": {\"value\": " << g.value << ", \"max\": " << g.max << "}";
+  w.EndObject().Key("histograms").BeginObject();
+  for (const HistogramSnapshot& h : metrics.histograms) {
+    w.Key(h.name).BeginObject().Field("count", h.count).Field("sum", h.sum);
+    w.Field("max", h.max).Field("p50", h.p50).Field("p95", h.p95);
+    w.Field("p99", h.p99).EndObject();
   }
-  os << "\n  },\n  \"histograms\": {";
-  for (std::size_t i = 0; i < metrics.histograms.size(); ++i) {
-    const HistogramSnapshot& h = metrics.histograms[i];
-    os << (i == 0 ? "\n" : ",\n") << "    \"";
-    EscapeJsonString(os, h.name);
-    os << "\": {\"count\": " << h.count << ", \"sum\": " << h.sum
-       << ", \"max\": " << h.max << ", \"p50\": " << h.p50
-       << ", \"p95\": " << h.p95 << ", \"p99\": " << h.p99 << "}";
-  }
-  os << "\n  }\n}\n";
+  w.EndObject().EndObject();
+  os << "\n";
 }
 
 bool RunReport::WriteJsonFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (out) WriteJson(out);
-  if (!out) {
-    std::cerr << "obs: cannot write metrics report to " << path << "\n";
-    return false;
-  }
-  return true;
+  return obs::WriteJsonFile(path, [this](std::ostream& os) { WriteJson(os); });
 }
 
 void RunReport::PrintTable(std::ostream& os) const {

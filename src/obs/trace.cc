@@ -1,12 +1,11 @@
 #include "obs/trace.h"
 
 #include <atomic>
-#include <fstream>
-#include <iostream>
 #include <memory>
 #include <mutex>
 #include <ostream>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace bloc::obs {
@@ -14,28 +13,6 @@ namespace bloc::obs {
 #if !defined(BLOC_OBS_OFF)
 
 namespace {
-
-/// JSON string escape for names/categories (ours are plain literals, but
-/// the exporter must never emit invalid JSON regardless).
-void EscapeJson(std::ostream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 std::atomic<bool> g_tracing_enabled{false};
 
@@ -169,53 +146,25 @@ std::uint64_t TraceDroppedEvents() {
   return dropped;
 }
 
-void WriteChromeTrace(std::ostream& os) {
-  const std::vector<TraceEvent> events = SnapshotTrace();
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const TraceEvent& ev : events) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":\"";
-    EscapeJson(os, ev.name);
-    os << "\",\"cat\":\"";
-    EscapeJson(os, ev.cat);
-    // trace_event ts/dur are microseconds; fractional values are allowed.
-    os << "\",\"ph\":\"X\",\"ts\":"
-       << static_cast<double>(ev.start_ns) / 1e3
-       << ",\"dur\":" << static_cast<double>(ev.dur_ns) / 1e3
-       << ",\"pid\":1,\"tid\":" << ev.tid << ",\"args\":{\"id\":" << ev.arg
-       << "}}";
-  }
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-bool WriteChromeTraceFile(const std::string& path) {
-  std::ofstream out(path);
-  if (out) WriteChromeTrace(out);
-  if (!out) {
-    std::cerr << "obs: cannot write trace to " << path << "\n";
-    return false;
-  }
-  return true;
-}
-
-#else  // BLOC_OBS_OFF
-
-void WriteChromeTrace(std::ostream& os) {
-  os << "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-bool WriteChromeTraceFile(const std::string& path) {
-  std::ofstream out(path);
-  if (out) WriteChromeTrace(out);
-  if (!out) {
-    std::cerr << "obs: cannot write trace to " << path << "\n";
-    return false;
-  }
-  return true;
-}
-
 #endif  // BLOC_OBS_OFF
+
+void WriteChromeTrace(std::ostream& os) {
+  JsonWriter w(os);
+  w.BeginObject().Key("traceEvents").BeginArray();
+  for (const TraceEvent& ev : SnapshotTrace()) {
+    // trace_event ts/dur are microseconds; fractional values are allowed.
+    w.BeginObject().Field("name", ev.name).Field("cat", ev.cat);
+    w.Field("ph", "X").Field("ts", static_cast<double>(ev.start_ns) / 1e3);
+    w.Field("dur", static_cast<double>(ev.dur_ns) / 1e3).Field("pid", 1);
+    w.Field("tid", ev.tid).Key("args").BeginObject().Field("id", ev.arg);
+    w.EndObject().EndObject();
+  }
+  w.EndArray().Field("displayTimeUnit", "ms").EndObject();
+  os << "\n";
+}
+
+bool WriteChromeTraceFile(const std::string& path) {
+  return WriteJsonFile(path, [](std::ostream& os) { WriteChromeTrace(os); });
+}
 
 }  // namespace bloc::obs

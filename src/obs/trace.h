@@ -19,12 +19,6 @@
 
 namespace bloc::obs {
 
-#if !defined(BLOC_OBS_OFF)
-
-/// Runtime switch, off by default; benches enable it for --trace runs.
-bool TracingEnabled() noexcept;
-void SetTracingEnabled(bool on) noexcept;
-
 /// One completed span. Timestamps are NowNs() (shared steady epoch).
 struct TraceEvent {
   const char* name = nullptr;
@@ -34,6 +28,12 @@ struct TraceEvent {
   std::uint64_t arg = 0;  // free-form id (round index, anchor id, ...)
   std::uint32_t tid = 0;  // stable small id per recording thread
 };
+
+#if !defined(BLOC_OBS_OFF)
+
+/// Runtime switch, off by default; benches enable it for --trace runs.
+bool TracingEnabled() noexcept;
+void SetTracingEnabled(bool on) noexcept;
 
 /// RAII span: opens at construction, records at destruction. Nesting works
 /// naturally (inner spans simply record first).
@@ -78,25 +78,10 @@ void ClearTrace();
 /// Events lost to ring wrap-around since process start.
 std::uint64_t TraceDroppedEvents();
 
-/// Chrome trace_event JSON ("traceEvents" array of "ph":"X" complete
-/// events; ts/dur in microseconds).
-void WriteChromeTrace(std::ostream& os);
-/// File variant; returns false (after logging to stderr) on I/O failure.
-bool WriteChromeTraceFile(const std::string& path);
-
 #else  // BLOC_OBS_OFF
 
 inline bool TracingEnabled() noexcept { return false; }
 inline void SetTracingEnabled(bool) noexcept {}
-
-struct TraceEvent {
-  const char* name = nullptr;
-  const char* cat = nullptr;
-  std::uint64_t start_ns = 0;
-  std::uint64_t dur_ns = 0;
-  std::uint64_t arg = 0;
-  std::uint32_t tid = 0;
-};
 
 class TraceSpan {
  public:
@@ -108,9 +93,14 @@ class TraceSpan {
 inline std::vector<TraceEvent> SnapshotTrace() { return {}; }
 inline void ClearTrace() {}
 inline std::uint64_t TraceDroppedEvents() { return 0; }
-void WriteChromeTrace(std::ostream& os);  // emits an empty trace
-bool WriteChromeTraceFile(const std::string& path);
 
 #endif  // BLOC_OBS_OFF
+
+/// Chrome trace_event JSON ("traceEvents" array of "ph":"X" complete
+/// events; ts/dur in microseconds, written exactly). Under BLOC_OBS_OFF
+/// the array is empty.
+void WriteChromeTrace(std::ostream& os);
+/// File variant; returns false (after logging to stderr) on I/O failure.
+bool WriteChromeTraceFile(const std::string& path);
 
 }  // namespace bloc::obs

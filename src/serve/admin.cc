@@ -10,6 +10,7 @@
 #include <sstream>
 #include <system_error>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/report.h"
@@ -225,7 +226,12 @@ std::string AdminServer::Respond(const std::string& path) {
     {
       std::lock_guard lock(service_mutex_);
       if (service_ == nullptr) {
-        body << "{\n  \"healthy\": true,\n  \"service_attached\": false\n}\n";
+        obs::JsonWriter(body)
+            .BeginObject()
+            .Field("healthy", true)
+            .Field("service_attached", false)
+            .EndObject();
+        body << "\n";
       } else {
         const HealthReport report =
             EvaluateHealth(service_->HealthStats(), options_.health);

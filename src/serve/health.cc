@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/json.h"
+
 namespace bloc::serve {
 
 namespace {
@@ -14,19 +16,15 @@ double Ratio(std::uint64_t num, std::uint64_t den) noexcept {
 }  // namespace
 
 void HealthReport::WriteJson(std::ostream& os) const {
-  os << "{\n";
-  os << "  \"healthy\": " << (healthy ? "true" : "false") << ",\n";
-  os << "  \"warming_up\": " << (warming_up ? "true" : "false") << ",\n";
-  os << "  \"rounds_observed\": " << rounds_observed << ",\n";
-  os << "  \"checks\": [";
-  for (std::size_t i = 0; i < checks.size(); ++i) {
-    const HealthCheck& c = checks[i];
-    os << (i == 0 ? "\n" : ",\n");
-    os << "    {\"name\": \"" << c.name << "\", \"value\": " << c.value
-       << ", \"budget\": " << c.budget << ", \"ok\": "
-       << (c.ok ? "true" : "false") << "}";
+  obs::JsonWriter w(os);
+  w.BeginObject().Field("healthy", healthy).Field("warming_up", warming_up);
+  w.Field("rounds_observed", rounds_observed).Key("checks").BeginArray();
+  for (const HealthCheck& c : checks) {
+    w.BeginObject().Field("name", c.name).Field("value", c.value);
+    w.Field("budget", c.budget).Field("ok", c.ok).EndObject();
   }
-  os << "\n  ]\n}\n";
+  w.EndArray().EndObject();
+  os << "\n";
 }
 
 HealthReport EvaluateHealth(const ServiceHealthStats& stats,

@@ -139,11 +139,18 @@ TEST(Search, SpansBitIdenticalToFullMap) {
 }
 
 TEST(Search, CoarsePositionsBitIdenticalToExhaustive) {
+  // Three seeds of four locations each, plus the six rounds of the shared
+  // Fig9() fixture.
+  std::vector<sim::Dataset> datasets;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     sim::DatasetOptions options;
     options.locations = 4;
-    const sim::Dataset dataset =
-        sim::GenerateDataset(sim::PaperTestbed(seed), options);
+    datasets.push_back(
+        sim::GenerateDataset(sim::PaperTestbed(seed), options));
+  }
+  datasets.push_back(Fig9().dataset);
+  for (std::size_t d = 0; d < datasets.size(); ++d) {
+    const sim::Dataset& dataset = datasets[d];
     const Localizer exhaustive(dataset.deployment, ExhaustiveConfig(dataset));
     const Localizer coarse(dataset.deployment, CoarseConfig(dataset));
 
@@ -160,8 +167,8 @@ TEST(Search, CoarsePositionsBitIdenticalToExhaustive) {
       }
     }
     // The speedup is real only if the coarse path actually ran and pruned.
-    EXPECT_GT(coarse_rounds, 0u) << "seed " << seed;
-    EXPECT_GT(pruned, 0u) << "seed " << seed;
+    EXPECT_GT(coarse_rounds, 0u) << "dataset " << d;
+    EXPECT_GT(pruned, 0u) << "dataset " << d;
   }
 }
 
@@ -216,16 +223,6 @@ TEST(Search, ZeroRefineBudgetTripsFractionGuard) {
   EXPECT_TRUE(ws.search.stats.fell_back);
   EXPECT_EQ(ws.search.stats.fallback_reason, FallbackReason::kFractionGuard);
   ExpectSamePosition(got, exhaustive.Locate(Fig9().dataset.rounds[0]));
-}
-
-TEST(Search, ParityCheckModePassesOnTestbedRounds) {
-  LocalizerConfig config = CoarseConfig(Fig9().dataset);
-  config.search.parity_check = true;
-  const Localizer localizer(Fig9().dataset.deployment, config);
-  LocalizerWorkspace ws;
-  for (const auto& round : Fig9().dataset.rounds) {
-    EXPECT_NO_THROW(localizer.Locate(round, ws));
-  }
 }
 
 TEST(Search, EngineCoarseMatchesSerialExhaustive) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace bloc::dsp {
 namespace {
@@ -132,6 +133,26 @@ TEST(Rng, GaussianMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.1);
   EXPECT_NEAR(sum_sq / n, 4.0, 0.2);
+}
+
+TEST(Rng, ZeroStddevGaussianIsZeroAndKeepsTheStream) {
+  Rng zero(17);
+  Rng one(17);
+  for (int i = 0; i < 8; ++i) {
+    const double z = zero.Gaussian(0.0);
+    EXPECT_EQ(z, 0.0);
+    EXPECT_FALSE(std::signbit(z));
+    one.Gaussian(1.0);
+  }
+  // Both engines consumed the same draws, so their streams stay in step.
+  EXPECT_EQ(zero.Uniform(0.0, 1.0), one.Uniform(0.0, 1.0));
+
+  std::vector<cplx> noiseless(16, cplx(1.0, 1.0));
+  zero.FillComplexGaussian(noiseless, 0.0);
+  for (const cplx& v : noiseless) EXPECT_EQ(v, cplx(0.0, 0.0));
+  std::vector<cplx> unit(16);
+  one.FillComplexGaussian(unit, 1.0);
+  EXPECT_EQ(zero.Uniform(0.0, 1.0), one.Uniform(0.0, 1.0));
 }
 
 TEST(Rng, ComplexGaussianVariance) {

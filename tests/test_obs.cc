@@ -1,18 +1,23 @@
 // Tests for the observability substrate (DESIGN.md §5d): histogram bucket
 // math and quantile envelopes, exact concurrent counting, registry handle
-// identity, trace recording, and the JSON exports (validated with a minimal
-// JSON parser — the Chrome trace_event schema and the RunReport shape).
+// identity, trace recording, the JSON codec (obs/json.h) and the JSON
+// exports parsed back through it (the Chrome trace_event schema and the
+// RunReport shape).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -21,178 +26,128 @@ namespace bloc::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// A minimal JSON parser: enough to validate structure and look up values.
-// Numbers are doubles, objects are flat key -> node maps.
+// The JSON codec.
 
-struct JsonNode {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind =
-      Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonNode> items;
-  std::vector<std::pair<std::string, JsonNode>> fields;
-
-  const JsonNode* Find(const std::string& key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  bool Parse(JsonNode& out) {
-    pos_ = 0;
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return pos_ == text_.size();  // no trailing garbage
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool ParseString(std::string& out) {
-    if (!Consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            pos_ += 4;  // validated, not decoded: names here are ASCII
-            out.push_back('?');
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool ParseValue(JsonNode& out) {
-    SkipWs();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out.kind = JsonNode::Kind::kString;
-      return ParseString(out.str);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.kind = JsonNode::Kind::kBool;
-      out.boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.kind = JsonNode::Kind::kBool;
-      pos_ += 5;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      out.kind = JsonNode::Kind::kNull;
-      pos_ += 4;
-      return true;
-    }
-    return ParseNumber(out);
-  }
-
-  bool ParseNumber(JsonNode& out) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    try {
-      out.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    out.kind = JsonNode::Kind::kNumber;
-    return true;
-  }
-
-  bool ParseArray(JsonNode& out) {
-    if (!Consume('[')) return false;
-    out.kind = JsonNode::Kind::kArray;
-    SkipWs();
-    if (Consume(']')) return true;
-    for (;;) {
-      JsonNode item;
-      if (!ParseValue(item)) return false;
-      out.items.push_back(std::move(item));
-      if (Consume(']')) return true;
-      if (!Consume(',')) return false;
-    }
-  }
-
-  bool ParseObject(JsonNode& out) {
-    if (!Consume('{')) return false;
-    out.kind = JsonNode::Kind::kObject;
-    SkipWs();
-    if (Consume('}')) return true;
-    for (;;) {
-      std::string key;
-      SkipWs();
-      if (!ParseString(key)) return false;
-      if (!Consume(':')) return false;
-      JsonNode value;
-      if (!ParseValue(value)) return false;
-      out.fields.emplace_back(std::move(key), std::move(value));
-      if (Consume('}')) return true;
-      if (!Consume(',')) return false;
-    }
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
+std::string Written(const JsonValue& value) {
+  std::ostringstream os;
+  JsonWriter(os).Value(value);
+  return os.str();
+}
 
 TEST(JsonParser, AcceptsAndRejects) {
-  JsonNode node;
-  EXPECT_TRUE(JsonParser(R"({"a": [1, 2.5, "x"], "b": {"c": true}})")
-                  .Parse(node));
-  EXPECT_EQ(node.fields.size(), 2u);
-  EXPECT_EQ(node.Find("a")->items.size(), 3u);
-  EXPECT_FALSE(JsonParser("{").Parse(node));
-  EXPECT_FALSE(JsonParser(R"({"a": 1} garbage)").Parse(node));
-  EXPECT_FALSE(JsonParser(R"({"a": })").Parse(node));
+  const auto doc = ParseJson(R"({"a": [1, 2.5, "x"], "b": {"c": true}})");
+  ASSERT_TRUE(doc);
+  EXPECT_EQ(doc->object.size(), 2u);
+  EXPECT_EQ(doc->Find("a")->array.size(), 3u);
+  EXPECT_TRUE(doc->Path("b.c")->boolean);
+  for (const char* bad :
+       {"", "{", R"({"a": 1} garbage)", R"({"a": })", "[1,]", R"({"a" 1})",
+        "01", "1.", ".5", "-", "nan", "inf", "[1e999]", "tru", R"("\x")",
+        "\"raw\ttab\"", R"("\ud800")", R"("\udc00")"}) {
+    EXPECT_FALSE(ParseJson(bad)) << bad;
+  }
+}
+
+TEST(JsonCodec, NestedObjectsAndArraysRoundTrip) {
+  const JsonValue doc = JsonValue::Object(
+      {{"name", "fig9"},
+       {"ok", true},
+       {"none", JsonValue()},
+       {"empty", JsonValue::Object()},
+       {"results",
+        JsonValue::Array(
+            {JsonValue::Object({{"threads", 1}, {"rounds_per_sec", 209.735}}),
+             JsonValue::Array({1, -2, JsonValue::Array()})})}});
+  const std::string text = Written(doc);
+  // Depth 0 and 1 put one member per line, deeper containers one line.
+  EXPECT_NE(text.find("\n  \"ok\": true,\n"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"({"threads": 1, "rounds_per_sec": 209.735})"),
+            std::string::npos)
+      << text;
+
+  const auto back = ParseJson(text);
+  ASSERT_TRUE(back) << text;
+  EXPECT_EQ(Written(*back), text);
+  EXPECT_EQ(back->Find("name")->str, "fig9");
+  EXPECT_EQ(back->Find("none")->kind, JsonValue::Kind::kNull);
+  EXPECT_TRUE(back->Find("empty")->object.empty());
+  const JsonValue& results = *back->Find("results");
+  ASSERT_EQ(results.array.size(), 2u);
+  EXPECT_EQ(results.array[0].Number("rounds_per_sec"), 209.735);
+  EXPECT_EQ(results.array[1].array[1].number, -2.0);
+}
+
+TEST(JsonCodec, EscapesEveryClassAndDecodesItBack) {
+  std::string raw = "quote\" backslash\\ slash/ ";
+  for (int c = 0; c < 0x20; ++c) raw += static_cast<char>(c);
+  raw += "\x7f \xc3\xa9";  // DEL and UTF-8 pass through unescaped
+  std::ostringstream os;
+  JsonWriter(os).Value(raw);
+  const std::string text = os.str();
+  EXPECT_NE(text.find(R"(quote\")"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"(backslash\\)"), std::string::npos) << text;
+  for (const char* escaped : {R"(\u0000)", R"(\u000a)", R"(\u001f)"}) {
+    EXPECT_NE(text.find(escaped), std::string::npos) << escaped;
+  }
+  for (const char c : text) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  const auto back = ParseJson(text);
+  ASSERT_TRUE(back) << text;
+  EXPECT_EQ(back->str, raw);
+
+  const auto decoded = ParseJson(
+      R"("\" \\ \/ \b \f \n \r \t \u0041 \u00e9 \u20AC \ud83d\ude00")");
+  ASSERT_TRUE(decoded);
+  EXPECT_EQ(decoded->str,
+            "\" \\ / \b \f \n \r \t A \xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80");
+}
+
+TEST(JsonCodec, DoublesRoundTripBitExact) {
+  for (const double v :
+       {1500140.123, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -2.5e-7,
+        1e6, 123456789.0, 9007199254740993.0, 0.0, -0.0}) {
+    std::ostringstream os;
+    JsonWriter(os).Value(v);
+    const auto back = ParseJson(os.str());
+    ASSERT_TRUE(back) << os.str();
+    ASSERT_EQ(back->kind, JsonValue::Kind::kNumber) << os.str();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back->number),
+              std::bit_cast<std::uint64_t>(v))
+        << os.str();
+  }
+  std::ostringstream os;
+  JsonWriter(os).BeginArray().Value(1500140.123).Value(1e6).EndArray();
+  EXPECT_EQ(os.str(), "[\n  1500140.123,\n  1000000\n]");
+}
+
+TEST(JsonCodec, NonFiniteDoublesWriteNull) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const JsonValue doc = JsonValue::Object(
+      {{"nan", std::nan("")}, {"inf", inf}, {"ninf", -inf}});
+  const std::string text = Written(doc);
+  const auto back = ParseJson(text);
+  ASSERT_TRUE(back) << text;
+  for (const char* key : {"nan", "inf", "ninf"}) {
+    EXPECT_EQ(back->Find(key)->kind, JsonValue::Kind::kNull) << key;
+  }
+}
+
+TEST(JsonCodec, ParsesEveryCommittedBaseline) {
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(BLOC_SOURCE_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with("BENCH_") || entry.path().extension() != ".json") {
+      continue;
+    }
+    ++files;
+    const auto doc = ParseJsonFile(entry.path().string());
+    ASSERT_TRUE(doc) << name;
+    EXPECT_EQ(doc->kind, JsonValue::Kind::kObject) << name;
+    if (name == "BENCH_fig9.json") {
+      EXPECT_EQ(doc->Number("figure.median_error_m"), 0.841765);
+    }
+  }
+  EXPECT_GE(files, 6u);
 }
 
 #if !defined(BLOC_OBS_OFF)
@@ -407,6 +362,10 @@ TEST(Trace, ExplicitEndIsIdempotent) {
 
 TEST(Trace, ChromeJsonValidates) {
   ClearTrace();
+  // Start the spans milliseconds past the clock's epoch, so their
+  // microsecond timestamps need more than six significant digits.
+  (void)NowNs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   SetTracingEnabled(true);
   {
     TraceSpan a("test.chrome.a", "test", 7);
@@ -414,29 +373,35 @@ TEST(Trace, ChromeJsonValidates) {
   }
   SetTracingEnabled(false);
 
+  const std::vector<TraceEvent> recorded = SnapshotTrace();
   std::ostringstream os;
   WriteChromeTrace(os);
   ClearTrace();
 
-  JsonNode root;
-  ASSERT_TRUE(JsonParser(os.str()).Parse(root)) << os.str();
-  ASSERT_EQ(root.kind, JsonNode::Kind::kObject);
-  const JsonNode* events = root.Find("traceEvents");
+  const auto root = ParseJson(os.str());
+  ASSERT_TRUE(root) << os.str();
+  ASSERT_EQ(root->kind, JsonValue::Kind::kObject);
+  const JsonValue* events = root->Find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->kind, JsonNode::Kind::kArray);
-  ASSERT_EQ(events->items.size(), 2u);
-  for (const JsonNode& ev : events->items) {
-    ASSERT_EQ(ev.kind, JsonNode::Kind::kObject);
+  ASSERT_EQ(events->kind, JsonValue::Kind::kArray);
+  ASSERT_EQ(events->array.size(), 2u);
+  ASSERT_EQ(recorded.size(), 2u);
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    const JsonValue& ev = events->array[i];
+    ASSERT_EQ(ev.kind, JsonValue::Kind::kObject);
     // The complete-event schema chrome://tracing and Perfetto load.
     ASSERT_NE(ev.Find("name"), nullptr);
-    EXPECT_EQ(ev.Find("name")->kind, JsonNode::Kind::kString);
+    EXPECT_EQ(ev.Find("name")->str, recorded[i].name);
     ASSERT_NE(ev.Find("ph"), nullptr);
     EXPECT_EQ(ev.Find("ph")->str, "X");
     for (const char* key : {"ts", "dur", "pid", "tid"}) {
       ASSERT_NE(ev.Find(key), nullptr) << key;
-      EXPECT_EQ(ev.Find(key)->kind, JsonNode::Kind::kNumber) << key;
+      EXPECT_EQ(ev.Find(key)->kind, JsonValue::Kind::kNumber) << key;
     }
-    EXPECT_GE(ev.Find("dur")->number, 0.0);
+    // Microseconds, exactly: no digit of the nanosecond clock is lost.
+    EXPECT_EQ(ev.Number("ts"),
+              static_cast<double>(recorded[i].start_ns) / 1e3);
+    EXPECT_EQ(ev.Number("dur"), static_cast<double>(recorded[i].dur_ns) / 1e3);
   }
 }
 
@@ -448,19 +413,21 @@ TEST(Report, JsonValidatesAndCarriesValues) {
   std::ostringstream os;
   RunReport::Capture().WriteJson(os);
 
-  JsonNode root;
-  ASSERT_TRUE(JsonParser(os.str()).Parse(root)) << os.str();
+  const auto root = ParseJson(os.str());
+  ASSERT_TRUE(root) << os.str();
   for (const char* section : {"counters", "gauges", "histograms"}) {
-    ASSERT_NE(root.Find(section), nullptr) << section;
-    EXPECT_EQ(root.Find(section)->kind, JsonNode::Kind::kObject) << section;
+    ASSERT_NE(root->Find(section), nullptr) << section;
+    EXPECT_EQ(root->Find(section)->kind, JsonValue::Kind::kObject) << section;
   }
-  const JsonNode* counter = root.Find("counters")->Find("test.report.counter");
+  const JsonValue* counter =
+      root->Find("counters")->Find("test.report.counter");
   ASSERT_NE(counter, nullptr);
   EXPECT_EQ(counter->number, 9.0);
-  const JsonNode* gauge = root.Find("gauges")->Find("test.report.gauge");
+  const JsonValue* gauge = root->Find("gauges")->Find("test.report.gauge");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->Find("value")->number, 4.0);
-  const JsonNode* hist = root.Find("histograms")->Find("test.report.hist_us");
+  const JsonValue* hist =
+      root->Find("histograms")->Find("test.report.hist_us");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->Find("count")->number, 1.0);
   EXPECT_EQ(hist->Find("sum")->number, 100.0);
@@ -486,8 +453,7 @@ TEST(ObsDisabled, ApiIsInertButPresent) {
   EXPECT_TRUE(SnapshotTrace().empty());
   std::ostringstream os;
   RunReport::Capture().WriteJson(os);
-  JsonNode root;
-  EXPECT_TRUE(JsonParser(os.str()).Parse(root));
+  EXPECT_TRUE(ParseJson(os.str()));
 }
 
 #endif  // BLOC_OBS_OFF
