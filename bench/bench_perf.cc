@@ -70,6 +70,7 @@
 #include "dsp/complex_ops.h"
 #include "bloc/engine.h"
 #include "dsp/fft.h"
+#include "dsp/simd_dispatch.h"
 #include "net/messages.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -387,17 +388,26 @@ JsonValue RunFullPhyComparison() {
   const std::vector<geom::Vec2> positions = testbed.SampleTagPositions(4);
 
   // Each bench::Stats sample is one multi-round timing window; the reported
-  // scalar is the min (scheduler noise only ever adds time) and the spread
-  // goes to the JSON so regressions can be told from noise.
-  simulator.UseReferenceFullPhy(true);
-  const bloc::bench::Stats reference = bloc::bench::MeasureRepeated(1, 3, [&] {
+  // times are the min (scheduler noise only ever adds time) and the spread
+  // goes to the JSON so regressions can be told from noise. Reference and
+  // planned windows alternate and the speedup is the median of the
+  // per-pair ratios, so a slow spell of a shared host lands on both sides
+  // of a ratio instead of on one side of a min/min.
+  const auto window = [&](bool reference) {
+    simulator.UseReferenceFullPhy(reference);
     return TimeFullPhyRounds(simulator, positions, 1.0);
-  });
-  simulator.UseReferenceFullPhy(false);
-  const bloc::bench::Stats planned = bloc::bench::MeasureRepeated(1, 3, [&] {
-    return TimeFullPhyRounds(simulator, positions, 1.0);
-  });
-  const double speedup = reference.min / planned.min;
+  };
+  window(true);  // warm-up
+  window(false);
+  std::vector<double> reference_ms, planned_ms, ratios;
+  for (int rep = 0; rep < 7; ++rep) {
+    reference_ms.push_back(window(true));
+    planned_ms.push_back(window(false));
+    ratios.push_back(reference_ms.back() / planned_ms.back());
+  }
+  const bloc::bench::Stats reference = bloc::bench::Stats::Of(reference_ms);
+  const bloc::bench::Stats planned = bloc::bench::Stats::Of(planned_ms);
+  const double speedup = bloc::bench::Stats::Of(ratios).p50;
 
   std::cout << "\n=== full-PHY measurement stage (fig9 workload, 1 thread) "
                "===\n"
@@ -1426,6 +1436,13 @@ const RegressCheck kRegressChecks[] = {
     {"likelihood_map", "speedup", Direction::kAtLeast},
     {"likelihood_map", "steering_plan_ms_per_map", Direction::kAtMost, {},
      true},
+    // The median of 7 paired ratios moved by ~5% between runs on a shared
+    // 4-core host whose single windows spread 4-8%, so a fixed 15% band,
+    // not a CV-widened one: it fails the planned path without the path-comb
+    // kernel and half-comb reuse (3.1-3.3 against 4.7-4.9 under AVX2).
+    {"fullphy_measurement", "speedup", Direction::kAtLeast, {}, false, 15.0},
+    {"fullphy_measurement", "planned_ms_per_round", Direction::kAtMost,
+     {"planned_stats"}, true},
     {"search", "parity_mismatches", Direction::kZero},
     {"search", "evaluated_fraction", Direction::kAtMost},
     {"search", "speedup", Direction::kAtLeast,
@@ -1450,6 +1467,7 @@ JsonValue MeasureSection(std::string_view section, const JsonValue& base,
                          std::size_t sweep_rounds,
                          const bloc::bench::CommonFlags& common) {
   if (section == "likelihood_map") return RunKernelComparison();
+  if (section == "fullphy_measurement") return RunFullPhyComparison();
   if (section == "search") return RunSearchComparison(common.coarse_stride);
   if (section == "observability") return RunObsOverheadCheck(sweep_rounds);
   const JsonValue* name_node = base.Find("name");
@@ -1537,8 +1555,8 @@ std::size_t RunRegress(const std::vector<std::string>& paths, double tol_pct,
     }
 
     for (const char* section :
-         {"fullphy_measurement", "fullphy_results", "dataset_store", "track",
-          "soak", "soak_wire", "results"}) {
+         {"fullphy_results", "dataset_store", "track", "soak", "soak_wire",
+          "results"}) {
       if (root->Find(section) != nullptr) {
         gate.Skip(section, "covered by its own CI job, not re-run here");
       }
@@ -1742,7 +1760,8 @@ int main(int argc, char** argv) {
         {{"workload", "fig9"},
          {"rounds_per_batch", sweep_rounds},
          {"grid_resolution", 0.075},
-         {"hardware_concurrency", std::thread::hardware_concurrency()}});
+         {"hardware_concurrency", std::thread::hardware_concurrency()},
+         {"isa", dsp::simd::IsaName(dsp::simd::Active().isa)}});
     if (run_localize) doc.Set("likelihood_map", kernels);
     if (run_fullphy) doc.Set("fullphy_measurement", fullphy);
     if (run_search) doc.Set("search", search);

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "dsp/complex_ops.h"
+#include "dsp/simd_dispatch.h"
 
 namespace bloc::chan {
 
@@ -45,60 +46,29 @@ dsp::CVec PathSet::EvaluateComb(double f_start_hz, double f_step_hz,
 void PathSet::EvaluateCombInto(double f_start_hz, double f_step_hz,
                                std::span<cplx> out) const {
   std::fill(out.begin(), out.end(), cplx{0.0, 0.0});
-  // Lane chunks over paths, comb index outer: each comb step advances all
-  // lanes' rotors independently, so the loop is limited by multiplier
-  // throughput instead of the ~8-cycle latency of a serial rotor chain.
-  constexpr std::size_t kLanes = 8;
-  constexpr std::size_t kRenormInterval = 512;
-  for (std::size_t p0 = 0; p0 < paths.size(); p0 += kLanes) {
-    const std::size_t m = std::min(kLanes, paths.size() - p0);
-    double rot_re[kLanes], rot_im[kLanes];    // amplitude * e^{j phi_k}
-    double step_re[kLanes], step_im[kLanes];  // e^{j d_phi} per comb step
-    double mag[kLanes];                       // |amplitude|: renorm target
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      if (l < m) {
-        const Path& p = paths[p0 + l];
-        const double base_phi =
-            -kTwoPi * f_start_hz * p.length_m / kSpeedOfLight;
-        const double step_phi =
-            -kTwoPi * f_step_hz * p.length_m / kSpeedOfLight;
-        rot_re[l] = p.amplitude * std::cos(base_phi);
-        rot_im[l] = p.amplitude * std::sin(base_phi);
-        step_re[l] = std::cos(step_phi);
-        step_im[l] = std::sin(step_phi);
-        mag[l] = std::abs(p.amplitude);
-      } else {
-        // Idle lanes spin a zero rotor so the inner loop stays branch-free.
-        rot_re[l] = rot_im[l] = 0.0;
-        step_re[l] = 1.0;
-        step_im[l] = 0.0;
-        mag[l] = 0.0;
-      }
+  // Per-path rotor set-up here, the comb itself in the dispatched kernel.
+  // Batches are whole kernel chunks, so the chunk order (and the bits) do
+  // not depend on the batch size.
+  constexpr std::size_t kBatch = 8 * dsp::simd::kPathCombChunk;
+  double base_re[kBatch], base_im[kBatch];
+  double step_re[kBatch], step_im[kBatch], mag[kBatch];
+  const dsp::simd::Kernels& kernels = dsp::simd::Active();
+  for (std::size_t p0 = 0; p0 < paths.size(); p0 += kBatch) {
+    const std::size_t m = std::min(kBatch, paths.size() - p0);
+    for (std::size_t l = 0; l < m; ++l) {
+      const Path& p = paths[p0 + l];
+      const double base_phi =
+          -kTwoPi * f_start_hz * p.length_m / kSpeedOfLight;
+      const double step_phi =
+          -kTwoPi * f_step_hz * p.length_m / kSpeedOfLight;
+      base_re[l] = p.amplitude * std::cos(base_phi);
+      base_im[l] = p.amplitude * std::sin(base_phi);
+      step_re[l] = std::cos(step_phi);
+      step_im[l] = std::sin(step_phi);
+      mag[l] = std::abs(p.amplitude);
     }
-    std::size_t since_renorm = 0;
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      double acc_re = 0.0;
-      double acc_im = 0.0;
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        acc_re += rot_re[l];
-        acc_im += rot_im[l];
-        const double r = rot_re[l] * step_re[l] - rot_im[l] * step_im[l];
-        rot_im[l] = rot_re[l] * step_im[l] + rot_im[l] * step_re[l];
-        rot_re[l] = r;
-      }
-      out[k] += cplx{acc_re, acc_im};
-      if (++since_renorm == kRenormInterval) {
-        since_renorm = 0;
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          const double cur = std::hypot(rot_re[l], rot_im[l]);
-          if (cur > 0.0) {
-            const double scale = mag[l] / cur;
-            rot_re[l] *= scale;
-            rot_im[l] *= scale;
-          }
-        }
-      }
-    }
+    kernels.path_comb(base_re, base_im, step_re, step_im, mag, m,
+                      reinterpret_cast<double*>(out.data()), out.size());
   }
 }
 

@@ -46,12 +46,12 @@ struct PathSet {
                          std::size_t count) const;
 
   /// Allocation-free EvaluateComb: overwrites `out` (out.size() comb bins)
-  /// in caller-owned storage. Paths are processed in fixed-size lane chunks
-  /// with the comb index as the outer loop, converting the per-path rotor
-  /// recurrence from a latency-bound serial chain into a throughput-bound
-  /// vectorizable inner loop; rotors renormalize periodically so long combs
-  /// don't drift (parity vs per-bin Evaluate stays < 1e-9, see
-  /// tests/test_channel.cc).
+  /// in caller-owned storage. Runs on the dispatched dsp::simd path-comb
+  /// kernel: paths in fixed-size lane chunks with the comb index as the
+  /// outer loop, so the per-path rotor recurrences run side by side instead
+  /// of as latency-bound serial chains; rotors renormalize periodically so
+  /// long combs don't drift (parity vs per-bin Evaluate stays < 1e-9, see
+  /// tests/test_channel.cc). The bits are the same on every ISA.
   void EvaluateCombInto(double f_start_hz, double f_step_hz,
                         std::span<dsp::cplx> out) const;
 

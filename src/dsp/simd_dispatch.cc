@@ -5,12 +5,15 @@
 //   cur[c] *= step[c]           (complex rotate)
 // with the exact expression shapes of the scalar reference below — two
 // multiplies then one add/sub per component, never an FMA — so the results
-// are bit-identical across ISAs and across lane/tail splits. This file is
-// compiled with -ffp-contract=off (src/dsp/CMakeLists.txt) to keep the
-// compiler from fusing those multiply-adds behind our back.
+// are bit-identical across ISAs and across lane/tail splits. The path-comb
+// variants likewise share one per-lane rotor update and one summation order.
+// This file is compiled with -ffp-contract=off (src/dsp/CMakeLists.txt) to
+// keep the compiler from fusing those multiply-adds behind our back.
 
 #include "dsp/simd_dispatch.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -147,8 +150,160 @@ void WalkScalar(const double* comb, std::size_t steps, const double* base_re,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Path comb. Each lane of a chunk carries one path's rotor a_p e^{j phi_k};
+// idle lanes (past the last path) spin a zero rotor with a unit step so the
+// chunk loop stays branch-free, and their zero adds are part of the bits.
+
+void PathCombScalar(const double* base_re, const double* base_im,
+                    const double* step_re, const double* step_im,
+                    const double* mag, std::size_t paths, double* out,
+                    std::size_t count) {
+  constexpr std::size_t kLanes = kPathCombChunk;
+  for (std::size_t p0 = 0; p0 < paths; p0 += kLanes) {
+    double rot_re[kLanes], rot_im[kLanes];
+    double sr[kLanes], si[kLanes], mg[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const bool live = p0 + l < paths;
+      rot_re[l] = live ? base_re[p0 + l] : 0.0;
+      rot_im[l] = live ? base_im[p0 + l] : 0.0;
+      sr[l] = live ? step_re[p0 + l] : 1.0;
+      si[l] = live ? step_im[p0 + l] : 0.0;
+      mg[l] = live ? mag[p0 + l] : 0.0;
+    }
+    std::size_t since_renorm = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      double acc_re = 0.0;
+      double acc_im = 0.0;
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        acc_re += rot_re[l];
+        acc_im += rot_im[l];
+        const double r = rot_re[l] * sr[l] - rot_im[l] * si[l];
+        rot_im[l] = rot_re[l] * si[l] + rot_im[l] * sr[l];
+        rot_re[l] = r;
+      }
+      out[2 * k] += acc_re;
+      out[2 * k + 1] += acc_im;
+      if (++since_renorm == kPathCombRenorm) {
+        since_renorm = 0;
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const double cur = std::hypot(rot_re[l], rot_im[l]);
+          if (cur > 0.0) {
+            const double scale = mg[l] / cur;
+            rot_re[l] *= scale;
+            rot_im[l] *= scale;
+          }
+        }
+      }
+    }
+  }
+}
+
 constexpr Kernels kScalarKernels{MacRotateScalar, MacOnlyScalar,
-                                 RotateOnlyScalar, WalkScalar, Isa::kScalar};
+                                 RotateOnlyScalar, WalkScalar,
+                                 PathCombScalar,  Isa::kScalar};
+
+// The per-path operands of one path_comb call.
+struct PathArrays {
+  const double* base_re;
+  const double* base_im;
+  const double* step_re;
+  const double* step_im;
+  const double* mag;
+  std::size_t paths;
+
+  std::size_t chunks() const {
+    return (paths + kPathCombChunk - 1) / kPathCombChunk;
+  }
+};
+
+// Lane layout of the vector path-comb variants: lane c of every vector holds
+// chunk g0 + c of a group of W chunks, and lane slot l of those chunks is
+// its own vector, so a chunk's left-to-right lane sum becomes kPathCombChunk
+// vector adds. Lanes past the group's live chunks are all idle lanes; they
+// run but never fold into the output.
+template <std::size_t W>
+struct CombLanes {
+  alignas(64) double rot_re[kPathCombChunk][W];
+  alignas(64) double rot_im[kPathCombChunk][W];
+  alignas(64) double step_re[kPathCombChunk][W];
+  alignas(64) double step_im[kPathCombChunk][W];
+  alignas(64) double mag[kPathCombChunk][W];
+  std::size_t chunks = 0;  // live chunks in this group, <= W
+};
+
+// Comb steps per block: a block's chunk sums are staged, then folded. A
+// divisor of kPathCombRenorm, so renormalization falls on block ends.
+constexpr std::size_t kCombBlock = 32;
+static_assert(kPathCombRenorm % kCombBlock == 0);
+
+template <std::size_t W>
+struct CombSums {
+  alignas(64) double re[kCombBlock][W];
+  alignas(64) double im[kCombBlock][W];
+};
+
+template <std::size_t W>
+void LoadCombLanes(const PathArrays& a, std::size_t g0, std::size_t live,
+                   CombLanes<W>& g) {
+  g.chunks = live;
+  for (std::size_t l = 0; l < kPathCombChunk; ++l) {
+    for (std::size_t c = 0; c < W; ++c) {
+      const std::size_t p = (g0 + c) * kPathCombChunk + l;
+      const bool on = c < live && p < a.paths;
+      g.rot_re[l][c] = on ? a.base_re[p] : 0.0;
+      g.rot_im[l][c] = on ? a.base_im[p] : 0.0;
+      g.step_re[l][c] = on ? a.step_re[p] : 1.0;
+      g.step_im[l][c] = on ? a.step_im[p] : 0.0;
+      g.mag[l][c] = on ? a.mag[p] : 0.0;
+    }
+  }
+}
+
+template <std::size_t W>
+void RenormCombLanes(CombLanes<W>& g) {
+  for (std::size_t l = 0; l < kPathCombChunk; ++l) {
+    for (std::size_t c = 0; c < W; ++c) {
+      const double cur = std::hypot(g.rot_re[l][c], g.rot_im[l][c]);
+      if (cur > 0.0) {
+        const double scale = g.mag[l][c] / cur;
+        g.rot_re[l][c] *= scale;
+        g.rot_im[l][c] *= scale;
+      }
+    }
+  }
+}
+
+// Runs every chunk in groups of W on a vector block: `block(g, n, sums)`
+// advances every lane n <= kCombBlock steps from g's rotors (stored back on
+// return) and writes each step's chunk sums to sums. Groups run in path
+// order and each folds its live chunks in lane order, so out[k] sees the
+// scalar variant's chunk order.
+template <std::size_t W, typename Block>
+void PathCombGroups(const PathArrays& a, double* out, std::size_t count,
+                    Block block) {
+  CombLanes<W> g;
+  CombSums<W> sums;
+  const std::size_t chunks = a.chunks();
+  for (std::size_t g0 = 0; g0 < chunks; g0 += W) {
+    LoadCombLanes(a, g0, std::min(W, chunks - g0), g);
+    for (std::size_t k0 = 0; k0 < count; k0 += kCombBlock) {
+      const std::size_t n = std::min(kCombBlock, count - k0);
+      block(g, n, sums);
+      for (std::size_t k = 0; k < n; ++k) {
+        double re = out[2 * (k0 + k)];
+        double im = out[2 * (k0 + k) + 1];
+        for (std::size_t c = 0; c < g.chunks; ++c) {
+          re += sums.re[k][c];
+          im += sums.im[k][c];
+        }
+        out[2 * (k0 + k)] = re;
+        out[2 * (k0 + k) + 1] = im;
+      }
+      if ((k0 + n) % kPathCombRenorm == 0) RenormCombLanes(g);
+    }
+  }
+}
 
 #if defined(BLOC_SIMD_X86)
 
@@ -335,8 +490,47 @@ __attribute__((target("avx2"))) void WalkAvx2(
              acc_re + c, acc_im + c, n - c);
 }
 
+// One block of the AVX2 path comb: 4 chunks per vector, the same per-lane
+// sum and rotor update as PathCombScalar.
+__attribute__((target("avx2"))) void PathCombBlockAvx2(CombLanes<4>& g,
+                                                       std::size_t n,
+                                                       CombSums<4>& sums) {
+  __m256d rr[kPathCombChunk], ri[kPathCombChunk];
+  for (std::size_t l = 0; l < kPathCombChunk; ++l) {
+    rr[l] = _mm256_load_pd(g.rot_re[l]);
+    ri[l] = _mm256_load_pd(g.rot_im[l]);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    __m256d acc_re = _mm256_setzero_pd();
+    __m256d acc_im = _mm256_setzero_pd();
+    for (std::size_t l = 0; l < kPathCombChunk; ++l) {
+      acc_re = _mm256_add_pd(acc_re, rr[l]);
+      acc_im = _mm256_add_pd(acc_im, ri[l]);
+      const __m256d sr = _mm256_load_pd(g.step_re[l]);
+      const __m256d si = _mm256_load_pd(g.step_im[l]);
+      const __m256d p = rr[l];
+      rr[l] = _mm256_sub_pd(_mm256_mul_pd(p, sr), _mm256_mul_pd(ri[l], si));
+      ri[l] = _mm256_add_pd(_mm256_mul_pd(p, si), _mm256_mul_pd(ri[l], sr));
+    }
+    _mm256_store_pd(sums.re[k], acc_re);
+    _mm256_store_pd(sums.im[k], acc_im);
+  }
+  for (std::size_t l = 0; l < kPathCombChunk; ++l) {
+    _mm256_store_pd(g.rot_re[l], rr[l]);
+    _mm256_store_pd(g.rot_im[l], ri[l]);
+  }
+}
+
+void PathCombAvx2(const double* base_re, const double* base_im,
+                  const double* step_re, const double* step_im,
+                  const double* mag, std::size_t paths, double* out,
+                  std::size_t count) {
+  const PathArrays a{base_re, base_im, step_re, step_im, mag, paths};
+  PathCombGroups<4>(a, out, count, PathCombBlockAvx2);
+}
+
 constexpr Kernels kAvx2Kernels{MacRotateAvx2, MacOnlyAvx2, RotateOnlyAvx2,
-                               WalkAvx2, Isa::kAvx2};
+                               WalkAvx2,      PathCombAvx2, Isa::kAvx2};
 
 // ---------------------------------------------------------------------------
 // AVX-512F: 8 doubles per lane group, same expression tree.
@@ -515,8 +709,46 @@ __attribute__((target("avx512f"))) void WalkAvx512(
              acc_re + c, acc_im + c, n - c);
 }
 
+// One block of the AVX-512 path comb: 8 chunks per vector.
+__attribute__((target("avx512f"))) void PathCombBlockAvx512(
+    CombLanes<8>& g, std::size_t n, CombSums<8>& sums) {
+  __m512d rr[kPathCombChunk], ri[kPathCombChunk];
+  for (std::size_t l = 0; l < kPathCombChunk; ++l) {
+    rr[l] = _mm512_load_pd(g.rot_re[l]);
+    ri[l] = _mm512_load_pd(g.rot_im[l]);
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    __m512d acc_re = _mm512_setzero_pd();
+    __m512d acc_im = _mm512_setzero_pd();
+    for (std::size_t l = 0; l < kPathCombChunk; ++l) {
+      acc_re = _mm512_add_pd(acc_re, rr[l]);
+      acc_im = _mm512_add_pd(acc_im, ri[l]);
+      const __m512d sr = _mm512_load_pd(g.step_re[l]);
+      const __m512d si = _mm512_load_pd(g.step_im[l]);
+      const __m512d p = rr[l];
+      rr[l] = _mm512_sub_pd(_mm512_mul_pd(p, sr), _mm512_mul_pd(ri[l], si));
+      ri[l] = _mm512_add_pd(_mm512_mul_pd(p, si), _mm512_mul_pd(ri[l], sr));
+    }
+    _mm512_store_pd(sums.re[k], acc_re);
+    _mm512_store_pd(sums.im[k], acc_im);
+  }
+  for (std::size_t l = 0; l < kPathCombChunk; ++l) {
+    _mm512_store_pd(g.rot_re[l], rr[l]);
+    _mm512_store_pd(g.rot_im[l], ri[l]);
+  }
+}
+
+void PathCombAvx512(const double* base_re, const double* base_im,
+                    const double* step_re, const double* step_im,
+                    const double* mag, std::size_t paths, double* out,
+                    std::size_t count) {
+  const PathArrays a{base_re, base_im, step_re, step_im, mag, paths};
+  PathCombGroups<8>(a, out, count, PathCombBlockAvx512);
+}
+
 constexpr Kernels kAvx512Kernels{MacRotateAvx512, MacOnlyAvx512,
-                                 RotateOnlyAvx512, WalkAvx512, Isa::kAvx512};
+                                 RotateOnlyAvx512, WalkAvx512,
+                                 PathCombAvx512,  Isa::kAvx512};
 
 #endif  // BLOC_SIMD_X86
 

@@ -1,11 +1,12 @@
 // Runtime CPU dispatch for the split-complex comb-walk kernels.
 //
-// The Eq. 17 hot loop is a fused MAC+rotate over grid cells; PR 2 left its
-// vectorization to the compiler, which pins the binary to the baseline ISA
-// (SSE2 on portable builds). This facility probes the CPU once at startup
-// and resolves a function-pointer table to explicit scalar / AVX2 / AVX-512
-// variants of the three loop bodies, so a portable binary still runs
-// 512-bit kernels on machines that have them.
+// The Eq. 17 hot loop is a fused MAC+rotate over grid cells, and the
+// full-PHY simulator's channel comb is a rotor recurrence per path; left to
+// the compiler, both are pinned to the baseline ISA (SSE2 on portable
+// builds). This facility probes the CPU once at startup and resolves a
+// function-pointer table to explicit scalar / AVX2 / AVX-512 variants of
+// the loop bodies, so a portable binary still runs 512-bit kernels on
+// machines that have them.
 //
 // Bit-identity contract: every variant performs the same IEEE-754 double
 // operations in the same per-element order and none uses FMA (the
@@ -56,8 +57,26 @@ struct Kernels {
                const double* base_im, const double* step_re,
                const double* step_im, double* acc_re, double* acc_im,
                std::size_t n);
+  /// The channel comb of `paths` propagation paths (chan::PathSet::
+  /// EvaluateCombInto): adds sum_p base_p * step_p^k to out[k] for k <
+  /// `count`, where `out` is `count` interleaved (re, im) pairs. Paths are
+  /// summed in chunks of kPathCombChunk: per comb step a chunk's rotors are
+  /// summed left to right from 0.0 and each is advanced by its step; the
+  /// chunk sums fold into out[k] in path order. Every kPathCombRenorm steps
+  /// each nonzero rotor is rescaled to its `mag` (|amplitude|) so long combs
+  /// don't drift. Vector variants put one chunk in each lane; the bits are
+  /// those of the scalar variant on every ISA.
+  void (*path_comb)(const double* base_re, const double* base_im,
+                    const double* step_re, const double* step_im,
+                    const double* mag, std::size_t paths, double* out,
+                    std::size_t count);
   Isa isa = Isa::kScalar;
 };
+
+/// Paths per lane chunk of Kernels::path_comb.
+inline constexpr std::size_t kPathCombChunk = 8;
+/// Comb steps between path_comb's rotor renormalizations.
+inline constexpr std::size_t kPathCombRenorm = 512;
 
 /// Lowercase spelling used by BLOC_FORCE_ISA and the metrics/logs.
 const char* IsaName(Isa isa);

@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -43,7 +44,7 @@ LocalizationService::LocalizationService(core::Deployment deployment,
     : options_(std::move(options)),
       engine_(deployment, std::move(config),
               {.threads = options_.engine_threads}) {
-  options_.shards = RingCapacityFor(std::max<std::size_t>(options_.shards, 1));
+  options_.shards = std::bit_ceil(std::max<std::size_t>(options_.shards, 1));
   options_.assembler_threads = std::clamp<std::size_t>(
       options_.assembler_threads, 1, options_.shards);
   if (options_.max_inflight_locates == 0) {

@@ -54,8 +54,8 @@
 namespace bloc::serve {
 
 struct ServiceOptions {
-  /// Session shards (rounded up to a power of two). Tags hash across
-  /// shards, so two tags on different shards never contend.
+  /// Session shards (rounded up to a power of two; 0 means 1). Tags hash
+  /// across shards, so two tags on different shards never contend.
   std::size_t shards = 8;
   /// Per-shard ingest ring capacity (rounded up to a power of two). A full
   /// ring refuses the frame — the hard backpressure edge.

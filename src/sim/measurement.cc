@@ -1,5 +1,6 @@
 #include "sim/measurement.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "channel/noise.h"
@@ -82,6 +83,22 @@ void MeasurementSimulator::EnsureMasterPaths() {
   master_paths_ready_ = true;
 }
 
+cplx MeasurementSimulator::Measure(const chan::PathSet& paths,
+                                   double center_hz, cplx offset_rotor,
+                                   double cfo_hz, const ChannelAssets& assets,
+                                   dsp::Rng& rng, Workspace& ws,
+                                   dsp::CVec* rx_cache) const {
+  if (testbed_.config().mode == MeasurementMode::kAnalytic) {
+    return MeasureAnalytic(paths, center_hz, offset_rotor, assets, rng);
+  }
+  if (use_reference_fullphy_) {
+    return MeasureFullPhyReference(paths, center_hz, offset_rotor, cfo_hz,
+                                   assets, rng, ws);
+  }
+  return MeasureFullPhy(paths, center_hz, offset_rotor, cfo_hz, assets, rng,
+                        ws, rx_cache);
+}
+
 cplx MeasurementSimulator::MeasureAnalytic(const chan::PathSet& paths,
                                            double center_hz,
                                            cplx offset_rotor,
@@ -120,15 +137,27 @@ cplx MeasurementSimulator::MeasureFullPhy(const chan::PathSet& paths,
     // Channel transfer function directly in FFT bin order: two uniform comb
     // ramps (DC..+fs/2 and -fs/2..-df) around the band centre, one
     // incremental rotor pair per path.
+    const bool same_grid = ws.comb.size() == nfft;
     ws.comb.resize(nfft);
     if (nfft < 2) {
       paths.EvaluateCombInto(center_hz, df, ws.comb);
+      ws.comb_paths = nullptr;
     } else {
       const std::size_t half = nfft / 2;
-      paths.EvaluateCombInto(center_hz, df,
-                             std::span<cplx>(ws.comb.data(), half));
-      paths.EvaluateCombInto(center_hz - fs / 2.0, df,
-                             std::span<cplx>(ws.comb.data() + half, half));
+      const std::span<cplx> upper(ws.comb.data(), half);
+      const std::span<cplx> lower(ws.comb.data() + half, half);
+      const double lower_hz = center_hz - fs / 2.0;
+      if (same_grid && ws.comb_paths == &paths &&
+          ws.comb_upper_hz == lower_hz) {
+        // The previous band's upper half-comb is this band's lower one:
+        // same paths, start and step, so the same bits.
+        std::copy(upper.begin(), upper.end(), lower.begin());
+      } else {
+        paths.EvaluateCombInto(lower_hz, df, lower);
+      }
+      paths.EvaluateCombInto(center_hz, df, upper);
+      ws.comb_paths = &paths;
+      ws.comb_upper_hz = center_hz;
     }
     ws.work.resize(nfft);
     dsp::ApplyTransferFunction(*assets.plan, assets.tx_fft, ws.comb, ws.work);
@@ -273,10 +302,10 @@ net::MeasurementRound MeasurementSimulator::RunRound(
   prepass_span.End();
 
   // Every band slot is laid out serially first (one block per report, bands
-  // in event order); the parallel fan-out over (event, anchor) pairs then
-  // writes each measurement into its own slot. Each measurement forks its
-  // own noise stream from (round, channel, anchor id, antenna, leg), so the
-  // result is independent of which worker runs it.
+  // in event order); the parallel fan-out then writes each measurement into
+  // its own slot. Each measurement forks its own noise stream from (round,
+  // channel, anchor id, antenna, leg), so the result is independent of
+  // which task or worker runs it.
   for (std::size_t i = 0; i < num_anchors; ++i) {
     const std::size_t antennas = anchors[i].geometry().num_antennas;
     anchor::CsiReport& report = anchors[i].mutable_report();
@@ -288,66 +317,65 @@ net::MeasurementRound MeasurementSimulator::RunRound(
                      i == master_idx ? 0 : antennas);
     }
   }
-  obs::TraceSpan fanout_span("sim.measurement.fanout", "sim",
-                             num_events * num_anchors);
+
+  // Fan-out over (anchor, antenna, chain) tasks. A chain is the round's
+  // events on one parity of the 2 MHz channel grid, in ascending frequency:
+  // consecutive members sit fs/2 = 4 MHz apart, so one band's upper
+  // half-comb is the next band's lower half-comb, and the task's workspace
+  // carries it over (MeasureFullPhy). A gap in the channel map just breaks
+  // the chain.
+  for (std::vector<std::size_t>& chain : chains_) chain.clear();
+  for (std::size_t e = 0; e < num_events; ++e) {
+    const double fc = link::DataChannelFrequencyHz(events[e].data_channel);
+    chains_[std::llround(fc / link::kChannelSpacingHz) % 2].push_back(e);
+  }
+  for (std::vector<std::size_t>& chain : chains_) {
+    std::ranges::sort(chain, {}, [&](std::size_t e) {
+      return link::DataChannelFrequencyHz(events[e].data_channel);
+    });
+  }
+  const std::size_t num_tasks = total_antennas * chains_.size();
+  obs::TraceSpan fanout_span("sim.measurement.fanout", "sim", num_tasks);
   master_rx_.resize(link::kNumDataChannels * total_antennas);
-  pool_.ParallelFor(
-      num_events * num_anchors, [&](std::size_t idx, std::size_t slot) {
-        const std::size_t e = idx / num_anchors;
-        const std::size_t i = idx % num_anchors;
-        const std::uint8_t ch = events[e].data_channel;
-        const double fc = link::DataChannelFrequencyHz(ch);
-        const ChannelAssets& assets = assets_[ch];
-        anchor::AnchorNode& node = anchors[i];
-        const std::size_t antennas = node.geometry().num_antennas;
-        Workspace& ws = workspaces_[slot];
-
-        const anchor::MutableBand band = node.mutable_report().mutable_band(e);
-        for (std::size_t j = 0; j < antennas; ++j) {
-          // Tag packet, then (on slave anchors) the overheard master reply.
-          const cplx tag_rotor =
-              ev_tag_rotor_[e * total_antennas + antenna_offset_[i] + j];
-          dsp::Rng tag_rng =
-              noise_root_.Fork({round_id, ch, node.id(), j, kLegTag});
-          if (cfg.mode == MeasurementMode::kAnalytic) {
-            band.tag_csi[j] =
-                MeasureAnalytic(tag_paths_[i][j], fc, tag_rotor, assets,
-                                tag_rng);
-          } else if (use_reference_fullphy_) {
-            band.tag_csi[j] = MeasureFullPhyReference(
-                tag_paths_[i][j], fc, tag_rotor,
-                ev_tag_cfo_[e * num_anchors + i], assets, tag_rng, ws);
-          } else {
-            band.tag_csi[j] = MeasureFullPhy(
-                tag_paths_[i][j], fc, tag_rotor,
-                ev_tag_cfo_[e * num_anchors + i], assets, tag_rng, ws,
-                nullptr);
-          }
-          if (i == master_idx) continue;
-          const cplx master_rotor =
-              ev_master_rotor_[e * total_antennas + antenna_offset_[i] + j];
-          dsp::Rng master_rng =
-              noise_root_.Fork({round_id, ch, node.id(), j, kLegMaster});
-          if (cfg.mode == MeasurementMode::kAnalytic) {
-            band.master_csi[j] =
-                MeasureAnalytic(master_paths_[i][j], fc, master_rotor, assets,
-                                master_rng);
-          } else if (use_reference_fullphy_) {
-            band.master_csi[j] = MeasureFullPhyReference(
-                master_paths_[i][j], fc, master_rotor,
-                ev_master_cfo_[e * num_anchors + i], assets, master_rng, ws);
-          } else {
-            band.master_csi[j] = MeasureFullPhy(
-                master_paths_[i][j], fc, master_rotor,
-                ev_master_cfo_[e * num_anchors + i], assets, master_rng, ws,
-                &master_rx_[ch * total_antennas + antenna_offset_[i] + j]);
-          }
-        }
-        band.rssi_db = 20.0 * std::log10(
-                                  std::max(std::abs(band.tag_csi[0]), 1e-12));
-      });
-
+  pool_.ParallelFor(num_tasks, [&](std::size_t task, std::size_t slot) {
+    const std::size_t leg = task / chains_.size();  // flat antenna index
+    const std::size_t i = static_cast<std::size_t>(
+        std::ranges::upper_bound(antenna_offset_, leg) -
+        antenna_offset_.begin() - 1);
+    const std::size_t j = leg - antenna_offset_[i];
+    anchor::AnchorNode& node = anchors[i];
+    Workspace& ws = workspaces_[slot];
+    ws.comb_paths = nullptr;  // tag paths are re-solved every round
+    for (const std::size_t e : chains_[task % chains_.size()]) {
+      const std::uint8_t ch = events[e].data_channel;
+      const double fc = link::DataChannelFrequencyHz(ch);
+      const ChannelAssets& assets = assets_[ch];
+      const anchor::MutableBand band = node.mutable_report().mutable_band(e);
+      // Tag packet, then (on slave anchors) the overheard master reply.
+      dsp::Rng tag_rng =
+          noise_root_.Fork({round_id, ch, node.id(), j, kLegTag});
+      band.tag_csi[j] = Measure(
+          tag_paths_[i][j], fc, ev_tag_rotor_[e * total_antennas + leg],
+          ev_tag_cfo_[e * num_anchors + i], assets, tag_rng, ws, nullptr);
+      if (i == master_idx) continue;
+      dsp::Rng master_rng =
+          noise_root_.Fork({round_id, ch, node.id(), j, kLegMaster});
+      band.master_csi[j] = Measure(
+          master_paths_[i][j], fc, ev_master_rotor_[e * total_antennas + leg],
+          ev_master_cfo_[e * num_anchors + i], assets, master_rng, ws,
+          &master_rx_[ch * total_antennas + leg]);
+    }
+  });
   fanout_span.End();
+
+  for (anchor::AnchorNode& node : anchors) {
+    anchor::CsiReport& report = node.mutable_report();
+    for (std::size_t e = 0; e < num_events; ++e) {
+      const anchor::MutableBand band = report.mutable_band(e);
+      band.rssi_db =
+          20.0 * std::log10(std::max(std::abs(band.tag_csi[0]), 1e-12));
+    }
+  }
 
   net::MeasurementRound round;
   round.round_id = round_id;

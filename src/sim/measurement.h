@@ -14,10 +14,13 @@
 // including the forward FFT of the transmit waveform and the cached
 // FftPlan — are warmed at construction; per-measurement kernels run in
 // caller-owned per-worker workspaces with zero steady-state allocations; and
-// RunRound fans out over (connection event, anchor) pairs on an internal
-// thread pool. Every measurement draws noise from its own RNG stream forked
-// from (round, channel, anchor, antenna, leg), so the output is
-// bit-identical for every thread count.
+// RunRound fans out over (anchor, antenna, chain) tasks on an internal
+// thread pool, where a chain is the round's bands on one parity of the
+// 2 MHz channel grid in ascending frequency, so each half-band channel comb
+// is computed once and shared by the two bands it serves. Every
+// measurement draws noise from its own RNG stream forked from (round,
+// channel, anchor, antenna, leg), so the output is bit-identical for every
+// thread count.
 #pragma once
 
 #include <array>
@@ -80,7 +83,14 @@ class MeasurementSimulator {
   /// no allocations (every buffer re-resizes to the same nfft / packet
   /// length).
   struct Workspace {
-    dsp::CVec comb;   // channel transfer function per FFT bin
+    /// Channel transfer function per FFT bin: the upper half-comb [fc,
+    /// fc + fs/2) then the lower one [fc - fs/2, fc).
+    dsp::CVec comb;
+    /// Whose upper half-comb `comb` holds: `comb_paths` at band centre
+    /// `comb_upper_hz` (null: nothing reusable). The next band of a chain
+    /// copies it as its lower half instead of recomputing it.
+    const chan::PathSet* comb_paths = nullptr;
+    double comb_upper_hz = 0.0;
     dsp::CVec work;   // frequency->time scratch (nfft samples)
     dsp::CVec noise;  // per-sample receiver noise for one packet
     dsp::CVec rx;     // impaired received packet handed to the extractor
@@ -93,8 +103,13 @@ class MeasurementSimulator {
   void EnsureMasterPaths();
 
   /// Measured (noisy, offset-garbled) per-band channel between two points,
-  /// given the LO phase difference rotor. `rng` is the measurement's own
-  /// forked noise stream.
+  /// given the LO phase difference rotor, in the configured mode. `rng` is
+  /// the measurement's own forked noise stream; `rx_cache` as for
+  /// MeasureFullPhy.
+  dsp::cplx Measure(const chan::PathSet& paths, double center_hz,
+                    dsp::cplx offset_rotor, double cfo_hz,
+                    const ChannelAssets& assets, dsp::Rng& rng, Workspace& ws,
+                    dsp::CVec* rx_cache) const;
   dsp::cplx MeasureAnalytic(const chan::PathSet& paths, double center_hz,
                             dsp::cplx offset_rotor,
                             const ChannelAssets& assets, dsp::Rng& rng) const;
@@ -102,7 +117,8 @@ class MeasurementSimulator {
   /// transfer function, before LO rotor/CFO/noise): reused when already
   /// built, filled on first use. Master->anchor legs pass their per
   /// (channel, antenna) slot, since that geometry never changes; tag legs
-  /// pass nullptr.
+  /// pass nullptr. The lower half-comb is copied from `ws` when it holds
+  /// the matching upper half of the same `paths`.
   dsp::cplx MeasureFullPhy(const chan::PathSet& paths, double center_hz,
                            dsp::cplx offset_rotor, double cfo_hz,
                            const ChannelAssets& assets, dsp::Rng& rng,
@@ -130,8 +146,8 @@ class MeasurementSimulator {
   bool master_paths_ready_ = false;
   /// Clean master->anchor full-PHY waveforms, [channel][antenna_offset + j]
   /// (first packet-length samples). Static across rounds like the paths;
-  /// built lazily, each (channel, anchor) by the one task that owns it in a
-  /// round (LocalizationRound visits every channel exactly once).
+  /// built lazily, each (channel, anchor, antenna) by the one task that owns
+  /// it in a round (LocalizationRound visits every channel exactly once).
   std::vector<dsp::CVec> master_rx_;
   std::vector<std::vector<chan::PathSet>> tag_paths_;  // reused per round
 
@@ -143,6 +159,8 @@ class MeasurementSimulator {
   std::vector<dsp::cplx> ev_master_rotor_;    // [event][antenna_offset + j]
   std::vector<double> ev_tag_cfo_;            // [event][anchor]: tag - rx
   std::vector<double> ev_master_cfo_;         // [event][anchor]: master - rx
+  /// Event indices per centre-frequency parity, ascending in frequency.
+  std::array<std::vector<std::size_t>, 2> chains_;
 };
 
 }  // namespace bloc::sim

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <random>
 #include <vector>
@@ -168,6 +169,88 @@ TEST(SimdDispatch, WalkMatchesStepMajorComposition) {
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(w.acc_re[i], acc_re[i]) << IsaName(isa) << " i=" << i;
       ASSERT_EQ(w.acc_im[i], acc_im[i]) << IsaName(isa) << " i=" << i;
+    }
+  }
+}
+
+/// Per-path operands of one path_comb call: unit-modulus steps, rotors of
+/// magnitude mag (amplitudes of both signs), as PathSet builds them.
+struct PathOperands {
+  std::vector<double> base_re, base_im, step_re, step_im, mag;
+
+  PathOperands(std::mt19937& rng, std::size_t paths) {
+    std::uniform_real_distribution<double> phase(-3.14159, 3.14159);
+    std::uniform_real_distribution<double> amp(-0.5, 0.5);
+    for (std::size_t p = 0; p < paths; ++p) {
+      // Path 3 has zero amplitude: its rotor is a signed zero and it is
+      // never renormalized.
+      const double a = p == 3 ? 0.0 : amp(rng);
+      const double phi = phase(rng);
+      const double dphi = 1e-3 * phase(rng);
+      base_re.push_back(a * std::cos(phi));
+      base_im.push_back(a * std::sin(phi));
+      step_re.push_back(std::cos(dphi));
+      step_im.push_back(std::sin(dphi));
+      mag.push_back(std::abs(a));
+    }
+  }
+
+  /// path_comb over paths [p0, p0 + n), added into out.
+  void Run(const Kernels& k, std::size_t p0, std::size_t n,
+           std::vector<double>& out) const {
+    k.path_comb(base_re.data() + p0, base_im.data() + p0, step_re.data() + p0,
+                step_im.data() + p0, mag.data() + p0, n, out.data(),
+                out.size() / 2);
+  }
+};
+
+// The path comb promises the scalar variant's bits on every ISA: ragged
+// lane chunks, full, padded and 4-lane remainder vector groups (0..130
+// paths), a zero-amplitude path, and
+// comb lengths on both sides of the renormalization interval that are not
+// whole blocks. The output is pre-filled because the kernel adds into it.
+TEST(SimdDispatch, PathCombBitIdenticalAcrossIsas) {
+  std::mt19937 rng(29);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  const Kernels& ref = ForIsa(Isa::kScalar);
+  for (const std::size_t paths :
+       {0u, 1u, 7u, 8u, 9u, 40u, 64u, 65u, 83u, 130u}) {
+    const PathOperands ops(rng, paths);
+    for (const std::size_t count : {1u, 5u, 33u, 511u, 512u, 513u, 1100u}) {
+      std::vector<double> init(2 * count);
+      for (double& x : init) x = u(rng);
+      std::vector<double> want = init;
+      ops.Run(ref, 0, paths, want);
+      for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
+        if (!IsaSupported(isa)) continue;
+        std::vector<double> got = init;
+        ops.Run(ForIsa(isa), 0, paths, got);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(want[i], got[i])
+              << IsaName(isa) << " paths=" << paths << " count=" << count
+              << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// Chunks fold into the output in path order, so splitting a path list at a
+// chunk boundary into two calls gives the bits of one call (PathSet's
+// batching relies on it).
+TEST(SimdDispatch, PathCombSplitAtChunkBoundaryMatchesOneCall) {
+  std::mt19937 rng(31);
+  const PathOperands ops(rng, 83);
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!IsaSupported(isa)) continue;
+    const Kernels& k = ForIsa(isa);
+    std::vector<double> whole(2 * 700, 0.0);
+    ops.Run(k, 0, 83, whole);
+    std::vector<double> split(2 * 700, 0.0);
+    ops.Run(k, 0, 64, split);
+    ops.Run(k, 64, 19, split);
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      ASSERT_EQ(whole[i], split[i]) << IsaName(isa) << " i=" << i;
     }
   }
 }

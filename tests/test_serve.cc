@@ -177,6 +177,21 @@ TEST(LocalizationService, ShardCountRoundsUpAndHashesSpread) {
   EXPECT_GT(hits.size(), 4u);
 }
 
+TEST(LocalizationService, OneShardStaysOneAndDefaultIsEight) {
+  // Shards round up to a power of two with a minimum of one (not the
+  // ingest rings' minimum of two), and 0 means one.
+  for (const std::size_t requested : {0u, 1u}) {
+    ServiceOptions options;
+    options.shards = requested;
+    LocalizationService service(Rounds().deployment, Config(), options);
+    EXPECT_EQ(service.shard_count(), 1u) << "requested " << requested;
+    EXPECT_EQ(service.ShardOf(12345), 0u);
+  }
+  LocalizationService defaults(Rounds().deployment, Config(),
+                               ServiceOptions{});
+  EXPECT_EQ(defaults.shard_count(), 8u);
+}
+
 TEST(LocalizationService, PositionsBitIdenticalToSerialEngineViaPoll) {
   ServiceOptions options;
   options.shards = 4;

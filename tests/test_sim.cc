@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dsp/complex_ops.h"
+#include "net/messages.h"
 #include "sim/experiment.h"
 #include "sim/measurement.h"
 #include "sim/vicon.h"
@@ -193,23 +194,41 @@ void ExpectRoundsBitIdentical(const net::MeasurementRound& a,
   }
 }
 
+/// Subsampled(3) with Wi-Fi channel 6 blacklisted: no two used channels of
+/// one centre parity sit 4 MHz apart, so every half-comb chain breaks.
+link::ChannelMap ChainBreakMap() {
+  link::ChannelMap map = link::ChannelMap::Subsampled(3);
+  map.BlacklistWifiOverlap(2.437e9);
+  return map;
+}
+
+/// Every channel but Wi-Fi channel 6's: long half-comb chains with a gap.
+link::ChannelMap WifiBlacklistMap() {
+  link::ChannelMap map;
+  map.BlacklistWifiOverlap(2.437e9);
+  return map;
+}
+
 TEST(Measurement, FullPhyBitIdenticalAcrossThreadCounts) {
   // Per-measurement RNG streams are forked from (round, channel, anchor,
   // antenna, leg), so the fan-out must produce the same bits no matter how
   // many workers run it. Round 1 additionally exercises the cached
   // master-leg waveforms built during round 0.
   const geom::Vec2 tag{2.4, 1.6};
-  std::vector<net::MeasurementRound> round0, round1;
-  for (const std::size_t threads : {1, 2, 4}) {
-    Testbed testbed(SmallFullPhyConfig(8));
-    MeasurementSimulator simulator(testbed, threads);
-    simulator.SetChannelMap(link::ChannelMap::Subsampled(8));
-    round0.push_back(simulator.RunRound(tag, 0));
-    round1.push_back(simulator.RunRound({1.1, 3.0}, 1));
-  }
-  for (std::size_t t = 1; t < round0.size(); ++t) {
-    ExpectRoundsBitIdentical(round0[0], round0[t]);
-    ExpectRoundsBitIdentical(round1[0], round1[t]);
+  for (const link::ChannelMap& map :
+       {link::ChannelMap::Subsampled(8), ChainBreakMap()}) {
+    std::vector<net::MeasurementRound> round0, round1;
+    for (const std::size_t threads : {1, 2, 4}) {
+      Testbed testbed(SmallFullPhyConfig(8));
+      MeasurementSimulator simulator(testbed, threads);
+      simulator.SetChannelMap(map);
+      round0.push_back(simulator.RunRound(tag, 0));
+      round1.push_back(simulator.RunRound({1.1, 3.0}, 1));
+    }
+    for (std::size_t t = 1; t < round0.size(); ++t) {
+      ExpectRoundsBitIdentical(round0[0], round0[t]);
+      ExpectRoundsBitIdentical(round1[0], round1[t]);
+    }
   }
 }
 
@@ -218,37 +237,87 @@ TEST(Measurement, FullPhyPlannedMatchesReferenceKernels) {
   // the pre-optimization reference kernels. Both draw identical noise, so
   // any difference is kernel numerics — bounded well under the noise floor.
   const geom::Vec2 tag{2.4, 1.6};
-  Testbed ref_bed(SmallFullPhyConfig(8));
-  Testbed fast_bed(SmallFullPhyConfig(8));
-  MeasurementSimulator reference(ref_bed);
-  MeasurementSimulator planned(fast_bed);
-  reference.UseReferenceFullPhy(true);
-  reference.SetChannelMap(link::ChannelMap::Subsampled(8));
-  planned.SetChannelMap(link::ChannelMap::Subsampled(8));
-  for (std::uint64_t round = 0; round < 2; ++round) {
-    const auto r_ref = reference.RunRound(tag, round);
-    const auto r_fast = planned.RunRound(tag, round);
-    ASSERT_EQ(r_ref.reports.size(), r_fast.reports.size());
-    for (std::size_t i = 0; i < r_ref.reports.size(); ++i) {
-      const auto bands_ref = r_ref.reports[i].bands();
-      const auto bands_fast = r_fast.reports[i].bands();
-      ASSERT_EQ(bands_ref.size(), bands_fast.size());
-      for (std::size_t k = 0; k < bands_ref.size(); ++k) {
-        for (std::size_t j = 0; j < bands_ref[k].tag_csi.size(); ++j) {
-          EXPECT_NEAR(std::abs(bands_ref[k].tag_csi[j] -
-                               bands_fast[k].tag_csi[j]),
-                      0.0, 1e-9)
-              << "tag leg, anchor " << i << " band " << k << " antenna " << j;
-        }
-        for (std::size_t j = 0; j < bands_ref[k].master_csi.size(); ++j) {
-          EXPECT_NEAR(std::abs(bands_ref[k].master_csi[j] -
-                               bands_fast[k].master_csi[j]),
-                      0.0, 1e-9)
-              << "master leg, anchor " << i << " band " << k << " antenna "
-              << j;
+  for (const link::ChannelMap& map :
+       {link::ChannelMap::Subsampled(8), ChainBreakMap()}) {
+    Testbed ref_bed(SmallFullPhyConfig(8));
+    Testbed fast_bed(SmallFullPhyConfig(8));
+    MeasurementSimulator reference(ref_bed);
+    MeasurementSimulator planned(fast_bed);
+    reference.UseReferenceFullPhy(true);
+    reference.SetChannelMap(map);
+    planned.SetChannelMap(map);
+    for (std::uint64_t round = 0; round < 2; ++round) {
+      const auto r_ref = reference.RunRound(tag, round);
+      const auto r_fast = planned.RunRound(tag, round);
+      ASSERT_EQ(r_ref.reports.size(), r_fast.reports.size());
+      for (std::size_t i = 0; i < r_ref.reports.size(); ++i) {
+        const auto bands_ref = r_ref.reports[i].bands();
+        const auto bands_fast = r_fast.reports[i].bands();
+        ASSERT_EQ(bands_ref.size(), bands_fast.size());
+        for (std::size_t k = 0; k < bands_ref.size(); ++k) {
+          for (std::size_t j = 0; j < bands_ref[k].tag_csi.size(); ++j) {
+            EXPECT_NEAR(std::abs(bands_ref[k].tag_csi[j] -
+                                 bands_fast[k].tag_csi[j]),
+                        0.0, 1e-9)
+                << "tag leg, anchor " << i << " band " << k << " antenna "
+                << j;
+          }
+          for (std::size_t j = 0; j < bands_ref[k].master_csi.size(); ++j) {
+            EXPECT_NEAR(std::abs(bands_ref[k].master_csi[j] -
+                                 bands_fast[k].master_csi[j]),
+                        0.0, 1e-9)
+                << "master leg, anchor " << i << " band " << k << " antenna "
+                << j;
+          }
         }
       }
     }
+  }
+}
+
+/// FNV-1a over the wire encoding of every report of `round`, chained on `h`.
+std::uint64_t RoundDigest(const net::MeasurementRound& round,
+                          std::uint64_t h) {
+  for (const anchor::CsiReport& report : round.reports) {
+    net::WireWriter w;
+    net::EncodeCsiReport(report, w);
+    for (const std::uint8_t byte : w.buffer()) {
+      h ^= byte;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(Measurement, FullPhyRoundsMatchGoldenDigests) {
+#if BLOC_NATIVE_BUILD
+  GTEST_SKIP() << "-march=native lets the compiler contract the FFT's "
+                  "multiply-adds into FMAs, which changes the bits";
+#endif
+  // Two planned full-PHY rounds (CFO on, two workers) per channel map,
+  // digested from their wire bytes. The digests were captured from the
+  // per-(event, anchor) fan-out that computed every half-comb with the
+  // in-place lane loop; the chain fan-out with shared half-combs and the
+  // dispatched path-comb kernel must reproduce those rounds bit for bit,
+  // on every ISA.
+  struct Case {
+    const char* name;
+    link::ChannelMap map;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"full map", link::ChannelMap(), 0xb8493a796cee76cbull},
+      {"Wi-Fi blacklist", WifiBlacklistMap(), 0xfcf642a3f372c32aull},
+      {"subsampled + blacklist", ChainBreakMap(), 0xf3ee1229ebadbb79ull},
+  };
+  for (const Case& c : cases) {
+    Testbed testbed(SmallFullPhyConfig(8));
+    MeasurementSimulator simulator(testbed, 2);
+    simulator.SetChannelMap(c.map);
+    std::uint64_t h = 1469598103934665603ull;
+    h = RoundDigest(simulator.RunRound({2.4, 1.6}, 0), h);
+    h = RoundDigest(simulator.RunRound({1.1, 3.0}, 1), h);
+    EXPECT_EQ(h, c.digest) << c.name << ": 0x" << std::hex << h;
   }
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local mirror of the CI "regress" job: build bench_perf, then gate fresh
 # measurements against every committed BENCH_*.json baseline that
-# --mode=regress knows how to re-measure (kernel speedup, search parity,
-# figure accuracy, observability overhead).
+# --mode=regress knows how to re-measure (kernel and full-PHY speedups,
+# search parity, figure accuracy, observability overhead).
 #
 # Usage: tools/check_regress.sh [build-dir] [extra bench_perf flags...]
 #   tools/check_regress.sh                 # build/ with default tolerance
@@ -18,6 +18,7 @@ cmake --build "$BUILD_DIR" -j --target bench_perf
 
 exec "./$BUILD_DIR/bench/bench_perf" --mode=regress \
   --baseline=BENCH_pr2.json \
+  --baseline=BENCH_pr3.json \
   --baseline=BENCH_pr6.json \
   --baseline=BENCH_fig9.json \
   --regress-tol=35 "$@"
