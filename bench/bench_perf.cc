@@ -972,21 +972,19 @@ std::vector<std::string> ScrapeAdminMidRun(std::uint16_t port) {
 }
 
 /// One load-generation pass: `producers` threads push every frame of every
-/// tag's rounds (retrying refused pushes, so backpressure never loses a
-/// frame and per-tag FIFO order holds), then the service drains. Returns
-/// elapsed seconds.
+/// tag's rounds (retrying rejected pushes through TryIngest, so
+/// backpressure never loses a frame and per-tag FIFO order holds), then the
+/// service drains. Returns elapsed seconds.
 double RunSoakPass(serve::LocalizationService& service,
                    const sim::Dataset& dataset,
                    const std::vector<std::vector<std::size_t>>& picks,
-                   std::size_t producers, std::size_t rounds_per_tag,
-                   std::atomic<std::uint64_t>& retries) {
+                   std::size_t producers, std::size_t rounds_per_tag) {
   const std::size_t tags = picks.size();
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> workers;
   workers.reserve(producers);
   for (std::size_t p = 0; p < producers; ++p) {
     workers.emplace_back([&, p] {
-      std::uint64_t local_retries = 0;
       // Round-major order: every tag of this producer has round k in
       // flight before round k+1 starts, so assembly runs with thousands
       // of concurrent partial rounds — the multi-tenant steady state.
@@ -996,14 +994,10 @@ double RunSoakPass(serve::LocalizationService& service,
           for (const anchor::CsiReport& report : src.reports) {
             anchor::CsiReport frame = report;
             frame.round_id = k;  // round ids are per-tag in the service
-            while (!service.Ingest(t, frame)) {
-              ++local_retries;
-              std::this_thread::yield();
-            }
+            while (!service.TryIngest(t, frame)) std::this_thread::yield();
           }
         }
       }
-      retries.fetch_add(local_retries, std::memory_order_relaxed);
     });
   }
   for (std::thread& w : workers) w.join();
@@ -1169,12 +1163,11 @@ JsonValue RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
             }
 
             const obs::Snapshot before = obs::Snapshot::Capture();
-            std::atomic<std::uint64_t> retries{0};
             const bloc::bench::Stats stats = bloc::bench::MeasureRepeated(
                 config.warmup, config.reps, [&] {
                   const double sec =
                       RunSoakPass(service, dataset, picks, producers,
-                                  config.rounds_per_tag, retries);
+                                  config.rounds_per_tag);
                   return static_cast<double>(tags * config.rounds_per_tag) /
                          sec;
                 });
@@ -1213,7 +1206,7 @@ JsonValue RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
                  {"rounds_per_sec", stats.ToJson()}, {"p50_us", p50_us},
                  {"p99_us", p99_us}, {"p999_us", p999_us},
                  // producer pushes bounced by backpressure
-                 {"retries", retries.load()},
+                 {"retries", counters.backpressure},
                  {"admitted", counters.admitted_frames},
                  {"refused", counters.refused_frames},
                  {"shed", counters.shed_rounds},
@@ -1243,7 +1236,7 @@ JsonValue RunSoakSweep(const SoakConfig& config, serve::AdminServer* admin,
                       << ")  p50=" << p50_us / 1e3 << "ms p99=" << p99_us / 1e3
                       << "ms p999=" << p999_us / 1e3 << "ms  lost=" << lost
                       << " mismatch=" << mismatches.load()
-                      << " retries=" << retries.load() << "\n";
+                      << " retries=" << counters.backpressure << "\n";
           }
         }
       }

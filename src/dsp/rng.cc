@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "dsp/simd_dispatch.h"
+
 namespace bloc::dsp {
 
 std::uint64_t HashName(std::string_view name) noexcept {
@@ -30,13 +32,17 @@ Rng Rng::Fork(std::string_view name) const {
 }
 
 Rng Rng::Fork(std::initializer_list<std::uint64_t> ids) const {
+  return Rng(ForkKey(ids));
+}
+
+std::uint64_t Rng::ForkKey(std::initializer_list<std::uint64_t> ids) const {
   // One full splitmix round per id: the intermediate finalization makes the
   // derivation order-sensitive and keeps adjacent tuples uncorrelated.
   std::uint64_t z = seed_;
   for (const std::uint64_t id : ids) {
     z = SplitMix(z + id + 0x9E3779B97F4A7C15ULL);
   }
-  return Rng(z);
+  return z;
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -63,16 +69,6 @@ cplx Rng::ComplexGaussian(double variance) {
   return {Gaussian(s), Gaussian(s)};
 }
 
-void Rng::FillComplexGaussian(std::span<cplx> out, double variance) {
-  std::normal_distribution<double> dist;
-  const double s = std::sqrt(variance / 2.0);
-  for (cplx& v : out) {
-    const double re = dist(engine_) * s + 0.0;
-    const double im = dist(engine_) * s + 0.0;
-    v = {re, im};
-  }
-}
-
 cplx Rng::RandomRotor() {
   const double phi = Uniform(0.0, kTwoPi);
   return {std::cos(phi), std::sin(phi)};
@@ -80,6 +76,13 @@ cplx Rng::RandomRotor() {
 
 bool Rng::Chance(double probability) {
   return Uniform(0.0, 1.0) < probability;
+}
+
+void FillComplexNoise(std::uint64_t key, std::span<cplx> out,
+                      double variance) {
+  // std::complex<double> is layout-compatible with double[2].
+  simd::Active().gaussian_fill(key, 0, reinterpret_cast<double*>(out.data()),
+                               out.size(), std::sqrt(variance / 2.0));
 }
 
 }  // namespace bloc::dsp

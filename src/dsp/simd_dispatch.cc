@@ -1,4 +1,5 @@
-// Explicit scalar / AVX2 / AVX-512 variants of the comb-walk loop bodies.
+// Explicit scalar / AVX2 / AVX-512 variants of the comb-walk loop bodies,
+// the full-PHY path comb and the full-PHY Gaussian noise fill.
 //
 // Every variant evaluates, per element c:
 //   acc[c] += a * cur[c]        (complex MAC, split re/im)
@@ -6,7 +7,8 @@
 // with the exact expression shapes of the scalar reference below — two
 // multiplies then one add/sub per component, never an FMA — so the results
 // are bit-identical across ISAs and across lane/tail splits. The path-comb
-// variants likewise share one per-lane rotor update and one summation order.
+// variants likewise share one per-lane rotor update and one summation order,
+// and the Gaussian-fill variants one template body (PolarParts).
 // This file is compiled with -ffp-contract=off (src/dsp/CMakeLists.txt) to
 // keep the compiler from fusing those multiply-adds behind our back.
 
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -199,9 +202,149 @@ void PathCombScalar(const double* base_re, const double* base_im,
   }
 }
 
-constexpr Kernels kScalarKernels{MacRotateScalar, MacOnlyScalar,
-                                 RotateOnlyScalar, WalkScalar,
-                                 PathCombScalar,  Isa::kScalar};
+// ---------------------------------------------------------------------------
+// Gaussian fill. Pair i of stream `key` reads words 2i and 2i+1 of the
+// splitmix64 sequence seeded at key (state key + (j + 1) * gamma, then the
+// splitmix finalizer). Word 1 gives u in (0, 1] and the radius
+// sqrt(-2 ln u); word 2 gives the angle: its top two bits pick a quadrant q
+// and 52 bits below them x uniform in [-pi/4, pi/4), so theta = q pi/2 + x.
+// ln is fdlibm's e_log reduction and polynomial, sin/cos fdlibm's kernels
+// on [-pi/4, pi/4]; the quadrant only swaps and negates. Every step is an
+// integer op or one IEEE add/sub/mul/div/sqrt in a fixed order, so the
+// vector variants below reproduce these bits lane for lane.
+
+constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ull;
+constexpr std::uint64_t kMix1 = 0xBF58476D1CE4E5B9ull;
+constexpr std::uint64_t kMix2 = 0x94D049BB133111EBull;
+constexpr std::uint64_t kOneBits = 0x3FF0000000000000ull;  // 1.0
+constexpr std::uint64_t kMantissa = 0x000FFFFFFFFFFFFFull;
+// Added to the mantissa, carries into bit 52 iff the significand is at
+// least ~sqrt(2) (fdlibm's 0x95f64 on the high word).
+constexpr std::uint64_t kSqrt2Carry = 0x00095F6400000000ull;
+constexpr std::uint64_t kBit52 = 0x0010000000000000ull;
+constexpr std::uint64_t kSignBit = 0x8000000000000000ull;
+// 2^52 as bits and as a double with the exponent bias folded in: OR-ing a
+// small integer into kTwo52Bits and subtracting kTwo52PlusBias yields the
+// unbiased exponent exactly, without an int64 -> double instruction.
+constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ull;
+constexpr double kTwo52PlusBias = 4503599627370496.0 + 1023.0;
+
+constexpr double kLn2Hi = 6.93147180369123816490e-01;
+constexpr double kLn2Lo = 1.90821492927058770002e-10;
+constexpr double kLg1 = 6.666666666666735130e-01;
+constexpr double kLg2 = 3.999999999940941908e-01;
+constexpr double kLg3 = 2.857142874366239149e-01;
+constexpr double kLg4 = 2.222219843214978396e-01;
+constexpr double kLg5 = 1.818357216161805012e-01;
+constexpr double kLg6 = 1.531383769920937332e-01;
+constexpr double kLg7 = 1.479819860511658591e-01;
+constexpr double kS1 = -1.66666666666666324348e-01;
+constexpr double kS2 = 8.33333333332248946124e-03;
+constexpr double kS3 = -1.98412698298579493134e-04;
+constexpr double kS4 = 2.75573137070700676789e-06;
+constexpr double kS5 = -2.50507602534068634195e-08;
+constexpr double kS6 = 1.58969099521155010221e-10;
+constexpr double kC1 = 4.16666666666666019037e-02;
+constexpr double kC2 = -1.38888888888741095749e-03;
+constexpr double kC3 = 2.48015872894767294178e-05;
+constexpr double kC4 = -2.75573143513906633035e-07;
+constexpr double kC5 = 2.08757232129817482790e-09;
+constexpr double kC6 = -1.13596475577881948265e-11;
+constexpr double kPiOver2 = 1.57079632679489661923;
+
+// The splitmix finalizer, in place; 64-bit multiplies wrap (GCC lowers the
+// vector ones to 32x32 multiplies where the ISA has no 64-bit mullo).
+// Vector values only cross these always-inline helpers by reference (and
+// __builtin_bit_cast is no call), so no vector ABI is involved on
+// baseline-ISA builds.
+template <typename U>
+__attribute__((always_inline)) inline void SplitMix(U& z) {
+  z = (z ^ (z >> 30)) * kMix1;
+  z = (z ^ (z >> 27)) * kMix2;
+  z = z ^ (z >> 31);
+}
+
+// The pairs whose word-1 splitmix state is `state`, up to the square root
+// (each variant applies its ISA's): r2 = -2 ln u and the rotor
+// (cos theta, sin theta).
+template <typename D, typename U>
+__attribute__((always_inline)) inline void PolarParts(const U& state, D& r2,
+                                                      D& cos_t, D& sin_t) {
+  U w1 = state;
+  U w2 = state + kGamma;
+  SplitMix(w1);
+  SplitMix(w2);
+
+  // ln u for u in (0, 1]: u = 2^k m with m in [~sqrt(2)/2, ~sqrt(2)).
+  const D u = 2.0 - __builtin_bit_cast(D, (w1 >> 12) | kOneBits);
+  const U bits = __builtin_bit_cast(U, u);
+  const U m52 = bits & kMantissa;
+  const U i = (m52 + kSqrt2Carry) & kBit52;
+  const D m = __builtin_bit_cast(D, m52 | (i ^ kOneBits));
+  const D dk =
+      __builtin_bit_cast(D, ((bits >> 52) + (i >> 52)) | kTwo52Bits) -
+      kTwo52PlusBias;
+  const D f = m - 1.0;
+  const D hfsq = 0.5 * f * f;
+  const D s = f / (2.0 + f);
+  const D s2 = s * s;
+  const D s4 = s2 * s2;
+  const D t1 = s4 * (kLg2 + s4 * (kLg4 + s4 * kLg6));
+  const D t2 = s2 * (kLg1 + s4 * (kLg3 + s4 * (kLg5 + s4 * kLg7)));
+  const D ln_u =
+      dk * kLn2Hi - ((hfsq - (s * (hfsq + (t2 + t1)) + dk * kLn2Lo)) - f);
+  r2 = -2.0 * ln_u;
+
+  // sin and cos of x in [-pi/4, pi/4).
+  const D x =
+      (__builtin_bit_cast(D, ((w2 >> 10) & kMantissa) | kOneBits) - 1.5) *
+      kPiOver2;
+  const D z = x * x;
+  const D v = z * x;
+  const D sr = kS2 + z * (kS3 + z * (kS4 + z * (kS5 + z * kS6)));
+  const D sin_x = x + v * (kS1 + z * sr);
+  const D cr =
+      z * (kC1 + z * (kC2 + z * (kC3 + z * (kC4 + z * (kC5 + z * kC6)))));
+  const D hz = 0.5 * z;
+  const D cw = 1.0 - hz;
+  const D cos_x = cw + (((1.0 - cw) - hz) + z * cr);
+
+  // Quadrant q = top two bits: bit 62 swaps cos/sin, bit 63 negates sin,
+  // bit 63 ^ bit 62 negates cos.
+  const U swap = U{} - ((w2 >> 62) & 1);  // all ones or all zeros
+  const U cos_bits = __builtin_bit_cast(U, cos_x);
+  const U sin_bits = __builtin_bit_cast(U, sin_x);
+  const U a = (cos_bits & ~swap) | (sin_bits & swap);
+  const U b = (sin_bits & ~swap) | (cos_bits & swap);
+  cos_t = __builtin_bit_cast(D, a ^ ((w2 ^ (w2 << 1)) & kSignBit));
+  sin_t = __builtin_bit_cast(D, b ^ (w2 & kSignBit));
+}
+
+// splitmix state of word 1 of pair `pair`.
+std::uint64_t PairState(std::uint64_t key, std::uint64_t pair) {
+  return key + (2 * pair + 1) * kGamma;
+}
+
+// out = (stddev r cos theta, stddev r sin theta) + 0.0 (no -0.0 at stddev 0).
+void GaussianPairScalar(std::uint64_t state, double stddev, double* out) {
+  double r2, cos_t, sin_t;
+  PolarParts(state, r2, cos_t, sin_t);
+  const double rs = std::sqrt(r2) * stddev;
+  out[0] = rs * cos_t + 0.0;
+  out[1] = rs * sin_t + 0.0;
+}
+
+void GaussianFillScalar(std::uint64_t key, std::uint64_t first, double* out,
+                        std::size_t n, double stddev) {
+  for (std::size_t k = 0; k < n; ++k) {
+    GaussianPairScalar(PairState(key, first + k), stddev, out + 2 * k);
+  }
+}
+
+constexpr Kernels kScalarKernels{MacRotateScalar,    MacOnlyScalar,
+                                 RotateOnlyScalar,   WalkScalar,
+                                 PathCombScalar,     GaussianFillScalar,
+                                 Isa::kScalar};
 
 // The per-path operands of one path_comb call.
 struct PathArrays {
@@ -306,6 +449,14 @@ void PathCombGroups(const PathArrays& a, double* out, std::size_t count,
 }
 
 #if defined(BLOC_SIMD_X86)
+
+// GCC vector types for the gaussian_fill body (PolarParts): the same
+// source that runs on double / uint64_t in the scalar variant runs on 4- and
+// 8-lane vectors below.
+typedef double V4d __attribute__((vector_size(32)));
+typedef std::uint64_t V4u __attribute__((vector_size(32)));
+typedef double V8d __attribute__((vector_size(64)));
+typedef std::uint64_t V8u __attribute__((vector_size(64)));
 
 // ---------------------------------------------------------------------------
 // AVX2: 4 doubles per lane group. _mm256_mul_pd/_mm256_add_pd/_mm256_sub_pd
@@ -529,8 +680,37 @@ void PathCombAvx2(const double* base_re, const double* base_im,
   PathCombGroups<4>(a, out, count, PathCombBlockAvx2);
 }
 
-constexpr Kernels kAvx2Kernels{MacRotateAvx2, MacOnlyAvx2, RotateOnlyAvx2,
-                               WalkAvx2,      PathCombAvx2, Isa::kAvx2};
+// AVX2 Gaussian fill: lane l of a vector holds pair k + l; the body is
+// PolarParts on 4-lane vectors, so lanes and the scalar tail share its bits.
+__attribute__((target("avx2"))) void GaussianFillAvx2(std::uint64_t key,
+                                                      std::uint64_t first,
+                                                      double* out,
+                                                      std::size_t n,
+                                                      double stddev) {
+  const std::uint64_t s0 = PairState(key, first);
+  V4u state = {s0, s0 + 2 * kGamma, s0 + 4 * kGamma, s0 + 6 * kGamma};
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    V4d r2, cos_t, sin_t;
+    PolarParts(state, r2, cos_t, sin_t);
+    const V4d rs = V4d(_mm256_sqrt_pd(r2)) * stddev;
+    const V4d re = rs * cos_t + 0.0;
+    const V4d im = rs * sin_t + 0.0;
+    const __m256d lo = _mm256_unpacklo_pd(re, im);  // pairs 0 and 2
+    const __m256d hi = _mm256_unpackhi_pd(re, im);  // pairs 1 and 3
+    _mm256_storeu_pd(out + 2 * k, _mm256_permute2f128_pd(lo, hi, 0x20));
+    _mm256_storeu_pd(out + 2 * k + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+    state += 8 * kGamma;
+  }
+  for (; k < n; ++k) {
+    GaussianPairScalar(PairState(key, first + k), stddev, out + 2 * k);
+  }
+}
+
+constexpr Kernels kAvx2Kernels{MacRotateAvx2,    MacOnlyAvx2,
+                               RotateOnlyAvx2,   WalkAvx2,
+                               PathCombAvx2,     GaussianFillAvx2,
+                               Isa::kAvx2};
 
 // ---------------------------------------------------------------------------
 // AVX-512F: 8 doubles per lane group, same expression tree.
@@ -746,9 +926,39 @@ void PathCombAvx512(const double* base_re, const double* base_im,
   PathCombGroups<8>(a, out, count, PathCombBlockAvx512);
 }
 
-constexpr Kernels kAvx512Kernels{MacRotateAvx512, MacOnlyAvx512,
+// AVX-512 Gaussian fill: PolarParts on 8-lane vectors; each store
+// interleaves 4 pairs' (re, im) with one two-source permute.
+__attribute__((target("avx512f"))) void GaussianFillAvx512(
+    std::uint64_t key, std::uint64_t first, double* out, std::size_t n,
+    double stddev) {
+  const std::uint64_t s0 = PairState(key, first);
+  V8u state;
+  for (std::size_t l = 0; l < 8; ++l) state[l] = s0 + 2 * l * kGamma;
+  const __m512i first_half = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+  const __m512i second_half = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+  std::size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    V8d r2, cos_t, sin_t;
+    PolarParts(state, r2, cos_t, sin_t);
+    // maskz: _mm512_sqrt_pd's undefined pass-through operand trips GCC's
+    // -Wmaybe-uninitialized; an all-ones zero-mask is the same vsqrtpd.
+    const V8d rs = V8d(_mm512_maskz_sqrt_pd(0xFF, r2)) * stddev;
+    const V8d re = rs * cos_t + 0.0;
+    const V8d im = rs * sin_t + 0.0;
+    _mm512_storeu_pd(out + 2 * k, _mm512_permutex2var_pd(re, first_half, im));
+    _mm512_storeu_pd(out + 2 * k + 8,
+                     _mm512_permutex2var_pd(re, second_half, im));
+    state += 16 * kGamma;
+  }
+  for (; k < n; ++k) {
+    GaussianPairScalar(PairState(key, first + k), stddev, out + 2 * k);
+  }
+}
+
+constexpr Kernels kAvx512Kernels{MacRotateAvx512,  MacOnlyAvx512,
                                  RotateOnlyAvx512, WalkAvx512,
-                                 PathCombAvx512,  Isa::kAvx512};
+                                 PathCombAvx512,   GaussianFillAvx512,
+                                 Isa::kAvx512};
 
 #endif  // BLOC_SIMD_X86
 

@@ -1,25 +1,28 @@
 // Runtime CPU dispatch for the split-complex comb-walk kernels.
 //
-// The Eq. 17 hot loop is a fused MAC+rotate over grid cells, and the
-// full-PHY simulator's channel comb is a rotor recurrence per path; left to
-// the compiler, both are pinned to the baseline ISA (SSE2 on portable
-// builds). This facility probes the CPU once at startup and resolves a
-// function-pointer table to explicit scalar / AVX2 / AVX-512 variants of
-// the loop bodies, so a portable binary still runs 512-bit kernels on
-// machines that have them.
+// The Eq. 17 hot loop is a fused MAC+rotate over grid cells, the full-PHY
+// simulator's channel comb is a rotor recurrence per path and its receiver
+// noise a counter-based Gaussian fill; left to the compiler, all three are
+// pinned to the baseline ISA (SSE2 on portable builds). This facility
+// probes the CPU once at startup and resolves a function-pointer table to
+// explicit scalar / AVX2 / AVX-512 variants of the loop bodies, so a
+// portable binary still runs 512-bit kernels on machines that have them.
 //
 // Bit-identity contract: every variant performs the same IEEE-754 double
 // operations in the same per-element order and none uses FMA (the
 // translation unit is additionally built with -ffp-contract=off), so for
 // any cell the result is bit-identical across ISAs, across lane packings
 // and between full-grid and gathered-subset evaluation. The coarse-to-fine
-// search (bloc/localizer.cc) and the cross-ISA parity tests rely on this.
+// search (bloc/localizer.cc), the full-PHY golden digests and the cross-ISA
+// parity tests rely on this; gaussian_fill additionally calls no libm, so
+// its bits do not depend on the C or C++ standard library either.
 //
 // `BLOC_FORCE_ISA=scalar|avx2|avx512` overrides the probe (clamped down to
 // what the CPU supports) — used by the tests and the CI scalar leg.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 
@@ -31,9 +34,10 @@ enum class Isa {
   kAvx512 = 2,
 };
 
-/// The comb-walk loop bodies (see bloc/steering_plan.cc WalkComb). All
-/// per-cell arrays are length `n`; aliasing between distinct arguments is
-/// not allowed.
+/// The comb-walk loop bodies (see bloc/steering_plan.cc WalkComb), the
+/// channel comb and the noise fill of the full-PHY simulator. All per-cell
+/// arrays are length `n`; aliasing between distinct arguments is not
+/// allowed.
 struct Kernels {
   /// acc += a * cur, then cur *= step, per element.
   void (*mac_rotate)(double a_re, double a_im, const double* step_re,
@@ -70,6 +74,18 @@ struct Kernels {
                     const double* step_re, const double* step_im,
                     const double* mag, std::size_t paths, double* out,
                     std::size_t count);
+  /// Counter-based Gaussian noise: writes n circular complex Gaussian
+  /// pairs to out[0, 2n), out[2k] and out[2k + 1] being pair first + k of
+  /// stream `key`, each component N(0, stddev^2). Pair i is a pure function
+  /// of (key, i): splitmix64 words 2i and 2i + 1 of the sequence seeded at
+  /// `key` (state key + (j + 1) * 0x9E3779B97F4A7C15, splitmix finalizer)
+  /// give u in (0, 1] and an angle theta, and Box-Muller returns
+  /// stddev * sqrt(-2 ln u) * (cos theta, sin theta) + 0.0, so stddev 0
+  /// gives +0.0. ln, sin and cos are fixed polynomials (fdlibm's), not
+  /// libm, and there is no FMA, so any split of a fill equals one call and
+  /// every variant gives the scalar variant's bits.
+  void (*gaussian_fill)(std::uint64_t key, std::uint64_t first, double* out,
+                        std::size_t n, double stddev);
   Isa isa = Isa::kScalar;
 };
 

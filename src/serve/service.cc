@@ -19,6 +19,7 @@ constexpr std::size_t kDrainBatch = 64;
 struct LocalizationService::Metrics {
   obs::Counter& admitted = obs::GetCounter("serve.admitted");
   obs::Counter& refused = obs::GetCounter("serve.refused");
+  obs::Counter& backpressure = obs::GetCounter("serve.backpressure");
   obs::Counter& shed = obs::GetCounter("serve.shed");
   obs::Counter& expired = obs::GetCounter("serve.expired");
   obs::Counter& duplicates = obs::GetCounter("serve.duplicates");
@@ -110,18 +111,32 @@ bool LocalizationService::Drain(std::chrono::milliseconds timeout) {
 
 bool LocalizationService::Ingest(std::uint64_t tag_id,
                                  anchor::CsiReport report) {
-  const Metrics& metrics = Metrics::Get();
-  if (!accepting_.load(std::memory_order_acquire)) {
-    refused_frames_.fetch_add(1, std::memory_order_relaxed);
-    metrics.refused.Inc();
-    return false;
-  }
+  if (Push(tag_id, report)) return true;
+  CountRefusal();
+  return false;
+}
+
+bool LocalizationService::TryIngest(std::uint64_t tag_id,
+                                    anchor::CsiReport& report) {
+  if (Push(tag_id, report)) return true;
+  backpressure_.fetch_add(1, std::memory_order_relaxed);
+  Metrics::Get().backpressure.Inc();
+  return false;
+}
+
+void LocalizationService::CountRefusal() {
+  refused_frames_.fetch_add(1, std::memory_order_relaxed);
+  Metrics::Get().refused.Inc();
+}
+
+bool LocalizationService::Push(std::uint64_t tag_id,
+                               anchor::CsiReport& report) {
+  if (!accepting_.load(std::memory_order_acquire)) return false;
   const std::size_t shard_index = ShardOf(tag_id);
   TagSessionShard& shard = *shards_[shard_index];
   TagFrame frame{tag_id, obs::NowNs(), std::move(report)};
   if (!shard.ring.TryPush(std::move(frame))) {
-    refused_frames_.fetch_add(1, std::memory_order_relaxed);
-    metrics.refused.Inc();
+    report = std::move(frame.report);  // a rejected push leaves `frame` intact
     return false;
   }
   frames_in_rings_.fetch_add(1, std::memory_order_release);
@@ -134,6 +149,7 @@ bool LocalizationService::Ingest(std::uint64_t tag_id,
   if (shard.depth.fetch_add(1, std::memory_order_acq_rel) == 0) {
     Wake(WorkerOf(shard_index));
   }
+  const Metrics& metrics = Metrics::Get();
   admitted_frames_.fetch_add(1, std::memory_order_relaxed);
   metrics.admitted.Inc();
   metrics.ring_depth.Add(1);
@@ -171,6 +187,7 @@ ServiceCounters LocalizationService::Counters() const {
   ServiceCounters c;
   c.admitted_frames = admitted_frames_.load(std::memory_order_relaxed);
   c.refused_frames = refused_frames_.load(std::memory_order_relaxed);
+  c.backpressure = backpressure_.load(std::memory_order_relaxed);
   c.duplicate_frames = duplicate_frames_.load(std::memory_order_relaxed);
   c.shed_rounds = shed_rounds_.load(std::memory_order_relaxed);
   c.expired_rounds = expired_rounds_.load(std::memory_order_relaxed);
@@ -318,8 +335,7 @@ void LocalizationService::Assemble(std::size_t worker, TagSessionShard& shard,
   session.last_activity_ns = frame.ingest_ns;
   if (!std::binary_search(anchor_ids_.begin(), anchor_ids_.end(),
                           frame.report.anchor_id)) {
-    refused_frames_.fetch_add(1, std::memory_order_relaxed);
-    metrics.refused.Inc();
+    CountRefusal();
     return;  // not an anchor of the deployment
   }
 
@@ -328,8 +344,7 @@ void LocalizationService::Assemble(std::size_t worker, TagSessionShard& shard,
   if (round_it == session.assembling.end()) {
     if (session.assembling.size() >= options_.max_assembling_rounds) {
       if (options_.shed_policy == ShedPolicy::kRefuseNew) {
-        refused_frames_.fetch_add(1, std::memory_order_relaxed);
-        metrics.refused.Inc();
+        CountRefusal();
         return;
       }
       // kShedOldest: evict the lowest round id — the longest-waiting

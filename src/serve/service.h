@@ -6,8 +6,8 @@
 //   producers (transports / Ingest)          assembler thread(s)
 //   ─ lock-free TryPush into the tag's ──►   drain rings -> assemble rounds
 //     shard ring; full ring = refusal        under the shard mutex; complete
-//                                            rounds feed LocateAsync on the
-//                                            engine pool (all cores by
+//     (Ingest) or back-pressure              rounds feed LocateAsync on the
+//     (TryIngest)                            engine pool (all cores by
 //                                            default); ready results flow to
 //                                            the callback or the per-tag
 //                                            Poll() backlog
@@ -25,11 +25,11 @@
 //  - Bounded memory: rings are fixed-capacity, round assembly is bounded by
 //    max_assembling_rounds x shed policy, engine admission is bounded by
 //    max_inflight_locates (saturation stalls the assembler, which fills the
-//    rings, which refuses producers — backpressure end to end), and
+//    rings, which rejects producers — backpressure end to end), and
 //    round-timeout GC expires partial rounds from lossy anchors.
 //
-// Registry metrics (obs/metrics.h): serve.{admitted,refused,shed,expired,
-// duplicate,completed,localized} counters, serve.ring_depth and
+// Registry metrics (obs/metrics.h): serve.{admitted,refused,backpressure,
+// shed,expired,duplicate,completed,localized} counters, serve.ring_depth and
 // serve.inflight_locates up/down gauges (exact levels + high watermarks),
 // and the serve.e2e_latency_us histogram that the soak bench's p50/p99/p999
 // SLO gates read. HealthStats() adds per-shard rolling-latency windows and
@@ -94,8 +94,12 @@ struct ServiceOptions {
 /// every service in the process; tests and the soak bench need this one's).
 struct ServiceCounters {
   std::uint64_t admitted_frames = 0;   // accepted into a shard ring
-  std::uint64_t refused_frames = 0;    // ring full, refuse-new policy, or
-                                       // unknown anchor / stopped service
+  std::uint64_t refused_frames = 0;    // frames dropped: Ingest on a full
+                                       // ring or stopped service, refuse-new
+                                       // policy, or unknown anchor; each
+                                       // frame counts once
+  std::uint64_t backpressure = 0;      // TryIngest rejections: the caller
+                                       // kept the frame to retry, no loss
   std::uint64_t duplicate_frames = 0;  // same anchor twice in one round
   std::uint64_t shed_rounds = 0;       // evicted by ShedPolicy::kShedOldest
   std::uint64_t expired_rounds = 0;    // round-timeout GC evictions
@@ -160,10 +164,18 @@ class LocalizationService : public net::MessageSink {
   /// more frames do not count as work. Returns true when drained.
   bool Drain(std::chrono::milliseconds timeout);
 
-  /// Lock-free producer entry point: stamps and routes the frame to its
-  /// tag's shard ring. False = refused (ring full or service stopped); the
-  /// frame is untouched, so the caller may retry under backpressure.
+  /// Lock-free fire-and-forget entry point: stamps and routes the frame to
+  /// its tag's shard ring. False = the frame is dropped (ring full or
+  /// service stopped) and counted once in refused_frames. OnMessage uses
+  /// it, since a transport cannot hand a frame back to its sender.
   bool Ingest(std::uint64_t tag_id, anchor::CsiReport report);
+
+  /// Entry point for producers that retry: as Ingest, but `report` is moved
+  /// from only when admitted. On false (ring full or service stopped) the
+  /// frame stays with the caller, so the rejection is back-pressure, not a
+  /// loss: it counts in `backpressure`, never in refused_frames or the
+  /// /healthz refused_ratio.
+  bool TryIngest(std::uint64_t tag_id, anchor::CsiReport& report);
 
   /// Transport entry point. TagCsiReportMsg routes to its tag's session;
   /// a plain CsiReportMsg is adopted as tag 0 (single-tenant drop-in).
@@ -211,6 +223,10 @@ class LocalizationService : public net::MessageSink {
   std::size_t WorkerOf(std::size_t shard) const {
     return shard % options_.assembler_threads;
   }
+  /// Ingest/TryIngest without their rejection accounting: pushes `report`
+  /// (moved from only on success) and counts the admission.
+  bool Push(std::uint64_t tag_id, anchor::CsiReport& report);
+  void CountRefusal();
   /// Wakes assembler `worker` if it is parked (cheap when it is not).
   void Wake(std::size_t worker);
   void WakeAll();
@@ -269,6 +285,7 @@ class LocalizationService : public net::MessageSink {
   // Per-instance counters (relaxed; exact once producers/assemblers stop).
   std::atomic<std::uint64_t> admitted_frames_{0};
   std::atomic<std::uint64_t> refused_frames_{0};
+  std::atomic<std::uint64_t> backpressure_{0};
   std::atomic<std::uint64_t> duplicate_frames_{0};
   std::atomic<std::uint64_t> shed_rounds_{0};
   std::atomic<std::uint64_t> expired_rounds_{0};

@@ -191,6 +191,9 @@ std::uint64_t Fingerprint(const ScenarioConfig& config,
   h.F64(config.impairments.cfo_ppm_std);
   h.F64(config.impairments.antenna_phase_error_std);
   h.U64(static_cast<std::uint64_t>(config.mode));
+  if (config.mode == MeasurementMode::kFullPhy) {
+    h.U64(kFullPhyNoiseSamplerVersion);
+  }
   h.Size(config.run_bits);
   h.Size(config.payload_len);
   h.U64(config.seed);

@@ -43,9 +43,17 @@ inline constexpr std::uint16_t kDatasetMinFormatVersion = 1;
 /// payload length.
 inline constexpr std::size_t kDatasetHeaderBytes = 4 + 2 + 8 + 8 + 8;
 
+/// Version of the full-PHY receiver-noise sampler. Full-PHY fingerprints
+/// hash it (analytic ones do not, as that mode never draws from it), so a
+/// store never serves a full-PHY file synthesized with another sampler.
+/// Unhashed: mt19937_64 + std::normal_distribution. 2: the counter-based
+/// dsp::FillComplexNoise.
+inline constexpr std::uint64_t kFullPhyNoiseSamplerVersion = 2;
+
 /// Canonical 64-bit fingerprint over every generation-relevant field of
-/// (ScenarioConfig, DatasetOptions), in a fixed field order. Two datasets
-/// with equal fingerprints contain bit-identical measurements.
+/// (ScenarioConfig, DatasetOptions), in a fixed field order, plus
+/// kFullPhyNoiseSamplerVersion in full-PHY mode. Two datasets with equal
+/// fingerprints contain bit-identical measurements.
 ///
 /// Deliberately excluded: DatasetOptions::measurement_threads (synthesis is
 /// bit-identical for every thread count) and ::progress (observer only).

@@ -17,7 +17,7 @@ using dsp::cplx;
 
 namespace {
 
-/// RNG-stream leg ids: the tag->anchor and master->anchor measurements of
+/// Noise-key leg ids: the tag->anchor and master->anchor measurements of
 /// one (round, channel, anchor, antenna) tuple get distinct noise streams.
 constexpr std::uint64_t kLegTag = 0;
 constexpr std::uint64_t kLegMaster = 1;
@@ -86,24 +86,25 @@ void MeasurementSimulator::EnsureMasterPaths() {
 cplx MeasurementSimulator::Measure(const chan::PathSet& paths,
                                    double center_hz, cplx offset_rotor,
                                    double cfo_hz, const ChannelAssets& assets,
-                                   dsp::Rng& rng, Workspace& ws,
+                                   std::uint64_t noise_key, Workspace& ws,
                                    dsp::CVec* rx_cache) const {
   if (testbed_.config().mode == MeasurementMode::kAnalytic) {
-    return MeasureAnalytic(paths, center_hz, offset_rotor, assets, rng);
+    return MeasureAnalytic(paths, center_hz, offset_rotor, assets, noise_key);
   }
   if (use_reference_fullphy_) {
     return MeasureFullPhyReference(paths, center_hz, offset_rotor, cfo_hz,
-                                   assets, rng, ws);
+                                   assets, noise_key, ws);
   }
-  return MeasureFullPhy(paths, center_hz, offset_rotor, cfo_hz, assets, rng,
-                        ws, rx_cache);
+  return MeasureFullPhy(paths, center_hz, offset_rotor, cfo_hz, assets,
+                        noise_key, ws, rx_cache);
 }
 
 cplx MeasurementSimulator::MeasureAnalytic(const chan::PathSet& paths,
                                            double center_hz,
                                            cplx offset_rotor,
                                            const ChannelAssets& assets,
-                                           dsp::Rng& rng) const {
+                                           std::uint64_t noise_key) const {
+  dsp::Rng rng(noise_key);
   const double dev = phy::kFrequencyDeviationHz;
   const double n0_var =
       testbed_.config().noise.NoiseVariance() /
@@ -123,7 +124,8 @@ cplx MeasurementSimulator::MeasureFullPhy(const chan::PathSet& paths,
                                           double center_hz, cplx offset_rotor,
                                           double cfo_hz,
                                           const ChannelAssets& assets,
-                                          dsp::Rng& rng, Workspace& ws,
+                                          std::uint64_t noise_key,
+                                          Workspace& ws,
                                           dsp::CVec* rx_cache) const {
   const double fs = extractor_.modulator().sample_rate_hz();
   const std::size_t len = assets.tx_iq.size();
@@ -170,9 +172,9 @@ cplx MeasurementSimulator::MeasureFullPhy(const chan::PathSet& paths,
 
   // Fused single pass: LO offset rotor, CFO mixing via an incremental rotor
   // recurrence (no libm in the loop) and AWGN.
-  const double noise_var = testbed_.config().noise.NoiseVariance();
   ws.noise.resize(len);
-  rng.FillComplexGaussian(ws.noise, noise_var);
+  dsp::FillComplexNoise(noise_key, ws.noise,
+                        testbed_.config().noise.NoiseVariance());
   ws.rx.resize(len);
   dsp::IncrementalRotor rotor(offset_rotor, dsp::kTwoPi * cfo_hz / fs);
   for (std::size_t n = 0; n < len; ++n) {
@@ -190,7 +192,7 @@ cplx MeasurementSimulator::MeasureFullPhy(const chan::PathSet& paths,
 
 cplx MeasurementSimulator::MeasureFullPhyReference(
     const chan::PathSet& paths, double center_hz, cplx offset_rotor,
-    double cfo_hz, const ChannelAssets& assets, dsp::Rng& rng,
+    double cfo_hz, const ChannelAssets& assets, std::uint64_t noise_key,
     Workspace& ws) const {
   const double fs = extractor_.modulator().sample_rate_hz();
   const std::size_t nfft = dsp::NextPow2(assets.tx_iq.size());
@@ -206,11 +208,11 @@ cplx MeasurementSimulator::MeasureFullPhyReference(
         return comb[idx];
       });
 
-  // Same noise draw as the fast path (one buffered fill per measurement),
-  // so the two paths differ only in their kernels.
-  const double noise_var = testbed_.config().noise.NoiseVariance();
+  // Same noise draw as the fast path (one keyed fill per measurement), so
+  // the two paths differ only in their kernels.
   ws.noise.resize(rx.size());
-  rng.FillComplexGaussian(ws.noise, noise_var);
+  dsp::FillComplexNoise(noise_key, ws.noise,
+                        testbed_.config().noise.NoiseVariance());
   const double dt = 1.0 / fs;
   for (std::size_t n = 0; n < rx.size(); ++n) {
     cplx v = rx[n] * offset_rotor;
@@ -303,7 +305,7 @@ net::MeasurementRound MeasurementSimulator::RunRound(
 
   // Every band slot is laid out serially first (one block per report, bands
   // in event order); the parallel fan-out then writes each measurement into
-  // its own slot. Each measurement forks its own noise stream from (round,
+  // its own slot. Each measurement keys its own noise stream on (round,
   // channel, anchor id, antenna, leg), so the result is independent of
   // which task or worker runs it.
   for (std::size_t i = 0; i < num_anchors; ++i) {
@@ -352,17 +354,16 @@ net::MeasurementRound MeasurementSimulator::RunRound(
       const ChannelAssets& assets = assets_[ch];
       const anchor::MutableBand band = node.mutable_report().mutable_band(e);
       // Tag packet, then (on slave anchors) the overheard master reply.
-      dsp::Rng tag_rng =
-          noise_root_.Fork({round_id, ch, node.id(), j, kLegTag});
       band.tag_csi[j] = Measure(
           tag_paths_[i][j], fc, ev_tag_rotor_[e * total_antennas + leg],
-          ev_tag_cfo_[e * num_anchors + i], assets, tag_rng, ws, nullptr);
+          ev_tag_cfo_[e * num_anchors + i], assets,
+          noise_root_.ForkKey({round_id, ch, node.id(), j, kLegTag}), ws,
+          nullptr);
       if (i == master_idx) continue;
-      dsp::Rng master_rng =
-          noise_root_.Fork({round_id, ch, node.id(), j, kLegMaster});
       band.master_csi[j] = Measure(
           master_paths_[i][j], fc, ev_master_rotor_[e * total_antennas + leg],
-          ev_master_cfo_[e * num_anchors + i], assets, master_rng, ws,
+          ev_master_cfo_[e * num_anchors + i], assets,
+          noise_root_.ForkKey({round_id, ch, node.id(), j, kLegMaster}), ws,
           &master_rx_[ch * total_antennas + leg]);
     }
   });

@@ -18,9 +18,10 @@
 // thread pool, where a chain is the round's bands on one parity of the
 // 2 MHz channel grid in ascending frequency, so each half-band channel comb
 // is computed once and shared by the two bands it serves. Every
-// measurement draws noise from its own RNG stream forked from (round,
-// channel, anchor, antenna, leg), so the output is bit-identical for every
-// thread count.
+// measurement draws noise from its own stream keyed on (round, channel,
+// anchor, antenna, leg) — a counter-based Gaussian fill in full-PHY mode,
+// an Rng seeded with the key in analytic mode — so the output is
+// bit-identical for every thread count.
 #pragma once
 
 #include <array>
@@ -57,8 +58,8 @@ class MeasurementSimulator {
   /// Selects the reference full-PHY kernels (unplanned FFT, per-bin
   /// std::function transfer callback, per-sample libm CFO rotor — the
   /// pre-optimization implementation) instead of the planned fast path.
-  /// Both paths draw identical noise, so they agree to ~1e-9; kept for the
-  /// parity tests and the bench_perf comparison.
+  /// Both paths draw identical noise (the same keyed fill), so they agree
+  /// to ~1e-9; kept for the parity tests and the bench_perf comparison.
   void UseReferenceFullPhy(bool on) { use_reference_fullphy_ = on; }
 
   /// The FFT plan cache behind the full-PHY path (amortization tests).
@@ -103,36 +104,41 @@ class MeasurementSimulator {
   void EnsureMasterPaths();
 
   /// Measured (noisy, offset-garbled) per-band channel between two points,
-  /// given the LO phase difference rotor, in the configured mode. `rng` is
-  /// the measurement's own forked noise stream; `rx_cache` as for
-  /// MeasureFullPhy.
+  /// given the LO phase difference rotor, in the configured mode.
+  /// `noise_key` keys the measurement's own noise stream
+  /// (noise_root_.ForkKey of its tuple); `rx_cache` as for MeasureFullPhy.
   dsp::cplx Measure(const chan::PathSet& paths, double center_hz,
                     dsp::cplx offset_rotor, double cfo_hz,
-                    const ChannelAssets& assets, dsp::Rng& rng, Workspace& ws,
-                    dsp::CVec* rx_cache) const;
+                    const ChannelAssets& assets, std::uint64_t noise_key,
+                    Workspace& ws, dsp::CVec* rx_cache) const;
+  /// Draws from Rng(noise_key), i.e. the engine noise_root_.Fork(tuple).
   dsp::cplx MeasureAnalytic(const chan::PathSet& paths, double center_hz,
                             dsp::cplx offset_rotor,
-                            const ChannelAssets& assets, dsp::Rng& rng) const;
+                            const ChannelAssets& assets,
+                            std::uint64_t noise_key) const;
   /// `rx_cache`, when non-null, caches the clean filtered waveform (comb +
   /// transfer function, before LO rotor/CFO/noise): reused when already
   /// built, filled on first use. Master->anchor legs pass their per
   /// (channel, antenna) slot, since that geometry never changes; tag legs
   /// pass nullptr. The lower half-comb is copied from `ws` when it holds
-  /// the matching upper half of the same `paths`.
+  /// the matching upper half of the same `paths`. Receiver noise is
+  /// dsp::FillComplexNoise(noise_key).
   dsp::cplx MeasureFullPhy(const chan::PathSet& paths, double center_hz,
                            dsp::cplx offset_rotor, double cfo_hz,
-                           const ChannelAssets& assets, dsp::Rng& rng,
-                           Workspace& ws, dsp::CVec* rx_cache) const;
+                           const ChannelAssets& assets,
+                           std::uint64_t noise_key, Workspace& ws,
+                           dsp::CVec* rx_cache) const;
   dsp::cplx MeasureFullPhyReference(const chan::PathSet& paths,
                                     double center_hz, dsp::cplx offset_rotor,
                                     double cfo_hz, const ChannelAssets& assets,
-                                    dsp::Rng& rng, Workspace& ws) const;
+                                    std::uint64_t noise_key,
+                                    Workspace& ws) const;
 
   Testbed& testbed_;
   link::ChannelMap channel_map_;
   phy::CsiExtractor extractor_;
   /// Root of every per-measurement noise stream: measurement (round,
-  /// channel, anchor, antenna, leg) draws from noise_root_.Fork({...}).
+  /// channel, anchor, antenna, leg) is keyed by noise_root_.ForkKey({...}).
   dsp::Rng noise_root_;
   bool use_reference_fullphy_ = false;
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -251,6 +253,70 @@ TEST(SimdDispatch, PathCombSplitAtChunkBoundaryMatchesOneCall) {
     ops.Run(k, 64, 19, split);
     for (std::size_t i = 0; i < whole.size(); ++i) {
       ASSERT_EQ(whole[i], split[i]) << IsaName(isa) << " i=" << i;
+    }
+  }
+}
+
+// The bits of a gaussian_fill call (EXPECT_EQ on doubles would let -0.0
+// pass for +0.0).
+std::vector<std::uint64_t> FillBits(const Kernels& k, std::uint64_t key,
+                                    std::uint64_t first, std::size_t n,
+                                    double stddev) {
+  std::vector<double> out(2 * n, -1.0);
+  k.gaussian_fill(key, first, out.data(), n, stddev);
+  std::vector<std::uint64_t> bits(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    bits[i] = std::bit_cast<std::uint64_t>(out[i]);
+  }
+  return bits;
+}
+
+// Every variant gives the scalar variant's bits, for whole vectors, lane
+// tails and counters that do not start on a vector boundary.
+TEST(SimdDispatch, GaussianFillBitIdenticalAcrossIsas) {
+  const Kernels& ref = ForIsa(Isa::kScalar);
+  for (const std::uint64_t key : {0ull, 1ull, 0x9E3779B97F4A7C15ull}) {
+    for (const std::uint64_t first : {0ull, 5ull, 1ull << 40}) {
+      for (const std::size_t n : {0u, 1u, 3u, 7u, 8u, 9u, 1920u, 2048u}) {
+        for (const double stddev : {1.0, 0.0037}) {
+          const std::vector<std::uint64_t> want =
+              FillBits(ref, key, first, n, stddev);
+          for (Isa isa : {Isa::kAvx2, Isa::kAvx512}) {
+            if (!IsaSupported(isa)) continue;
+            EXPECT_EQ(FillBits(ForIsa(isa), key, first, n, stddev), want)
+                << IsaName(isa) << " key=" << key << " first=" << first
+                << " n=" << n << " stddev=" << stddev;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Pair i is a pure function of (key, i): a fill split at any offset gives
+// the bits of one call.
+TEST(SimdDispatch, GaussianFillSplitAtAnyOffsetMatchesOneCall) {
+  constexpr std::size_t kN = 37;
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!IsaSupported(isa)) continue;
+    const Kernels& k = ForIsa(isa);
+    const std::vector<std::uint64_t> whole = FillBits(k, 42, 3, kN, 0.5);
+    for (std::size_t cut = 0; cut <= kN; ++cut) {
+      std::vector<std::uint64_t> split = FillBits(k, 42, 3, cut, 0.5);
+      const std::vector<std::uint64_t> rest =
+          FillBits(k, 42, 3 + cut, kN - cut, 0.5);
+      split.insert(split.end(), rest.begin(), rest.end());
+      EXPECT_EQ(split, whole) << IsaName(isa) << " cut=" << cut;
+    }
+  }
+}
+
+// stddev 0 (a noiseless channel) writes +0.0, never -0.0.
+TEST(SimdDispatch, GaussianFillZeroStddevIsPositiveZero) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!IsaSupported(isa)) continue;
+    for (const std::uint64_t bits : FillBits(ForIsa(isa), 7, 0, 67, 0.0)) {
+      ASSERT_EQ(bits, 0u) << IsaName(isa);
     }
   }
 }

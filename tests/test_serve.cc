@@ -16,6 +16,7 @@
 #include "bloc/engine.h"
 #include "net/messages.h"
 #include "net/transport.h"
+#include "serve/health.h"
 #include "serve/ingest_queue.h"
 #include "serve/service.h"
 #include "sim/experiment.h"
@@ -139,15 +140,19 @@ std::size_t MasterReportIndex(std::size_t dataset_round) {
   return 0;
 }
 
+/// Pushes one frame, retrying rejected pushes (backpressure, never loss).
+void SendFrame(LocalizationService& service, std::uint64_t tag_id,
+               anchor::CsiReport frame) {
+  while (!service.TryIngest(tag_id, frame)) std::this_thread::yield();
+}
+
 /// Pushes every report of one dataset round as tag `tag_id` round
-/// `round_id`, retrying refused pushes (backpressure, never loss).
+/// `round_id` through SendFrame.
 void SendRound(LocalizationService& service, std::uint64_t tag_id,
                std::size_t dataset_round, std::uint64_t round_id) {
   const auto& reports = Rounds().rounds[dataset_round].reports;
   for (std::size_t i = 0; i < reports.size(); ++i) {
-    while (!service.Ingest(tag_id, FrameFor(dataset_round, i, round_id))) {
-      std::this_thread::yield();
-    }
+    SendFrame(service, tag_id, FrameFor(dataset_round, i, round_id));
   }
 }
 
@@ -347,6 +352,13 @@ TEST(LocalizationService, ShardsAreIndependentAndFullRingRefuses) {
   EXPECT_FALSE(service.Ingest(tag_a, FrameFor(0, 0, 4)));
   EXPECT_EQ(service.Counters().refused_frames, 1u);
   EXPECT_TRUE(service.Ingest(tag_b, FrameFor(0, 0, 0)));
+  // A retrying producer keeps its frame: back-pressure, not a refusal.
+  anchor::CsiReport kept = FrameFor(0, 0, 4);
+  EXPECT_FALSE(service.TryIngest(tag_a, kept));
+  EXPECT_EQ(kept.round_id, 4u);
+  EXPECT_EQ(kept.bands().size(), FrameFor(0, 0, 4).bands().size());
+  EXPECT_EQ(service.Counters().refused_frames, 1u);
+  EXPECT_EQ(service.Counters().backpressure, 1u);
 
   // Draining tag A's shard must release the ring slots.
   service.Start();
@@ -376,9 +388,7 @@ TEST(LocalizationService, ShedOldestEvictsTheLowestRoundId) {
   for (std::uint64_t k = 1; k < 3; ++k) {
     for (std::size_t i = 0; i < reports.size(); ++i) {
       if (i == master) continue;
-      while (!service.Ingest(tag, FrameFor(0, i, k))) {
-        std::this_thread::yield();
-      }
+      SendFrame(service, tag, FrameFor(0, i, k));
     }
   }
   ASSERT_TRUE(service.Drain(kDrain));
@@ -412,9 +422,7 @@ TEST(LocalizationService, RefuseNewKeepsInFlightRounds) {
   for (std::uint64_t k = 0; k < 2; ++k) {
     for (std::size_t i = 0; i < reports.size(); ++i) {
       if (i == master) continue;
-      while (!service.Ingest(tag, FrameFor(0, i, k))) {
-        std::this_thread::yield();
-      }
+      SendFrame(service, tag, FrameFor(0, i, k));
     }
   }
   ASSERT_TRUE(service.Drain(kDrain));
@@ -569,9 +577,7 @@ TEST(LocalizationService, DefaultOptionsManyTagsMatchSerialPathAndTrack) {
   for (std::uint64_t k = 0; k < kRoundsPerTag; ++k) {
     for (std::size_t a = 0; a < anchors; ++a) {
       for (std::uint64_t t = 0; t < kTags; ++t) {
-        while (!service.Ingest(t, FrameFor(pick(t, k), a, k))) {
-          std::this_thread::yield();
-        }
+        SendFrame(service, t, FrameFor(pick(t, k), a, k));
       }
     }
   }
@@ -634,6 +640,54 @@ TEST(LocalizationService, DefaultOptionsManyTagsMatchSerialPathAndTrack) {
   EXPECT_EQ(c.dropped_updates, 0u);
   EXPECT_EQ(service.RingDepth(), 0u);
   EXPECT_EQ(service.InflightLocates(), 0u);
+}
+
+TEST(LocalizationService, RetryingProducersSeeBackpressureNotRefusals) {
+  // Four producers retry a full 8-frame ring on one shard. A rejected
+  // TryIngest leaves the frame with its producer, so it is back-pressure:
+  // nothing is refused or lost, and the /healthz refused_ratio reads 0.
+  ServiceOptions options;
+  options.shards = 1;
+  options.ring_capacity = 8;
+  LocalizationService service(Rounds().deployment, CoarseConfig(), options);
+  std::atomic<std::uint64_t> updates{0};
+  service.SetUpdateCallback(
+      [&](const PositionUpdate&) { updates.fetch_add(1); });
+
+  constexpr std::size_t kProducers = 4;
+  constexpr std::uint64_t kTagsPerProducer = 8;
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::uint64_t i = 0; i < kTagsPerProducer; ++i) {
+        const std::uint64_t tag = p * kTagsPerProducer + i;
+        SendRound(service, tag, tag % Rounds().rounds.size(), 0);
+      }
+    });
+  }
+  // Not started yet: the ring fills and every producer is retrying.
+  ASSERT_TRUE(WaitFor([&] { return service.Counters().backpressure > 0; }));
+  service.Start();
+  for (std::thread& t : producers) t.join();
+  ASSERT_TRUE(service.Drain(kDrain));
+  service.Stop();
+
+  const std::uint64_t rounds = kProducers * kTagsPerProducer;
+  const ServiceCounters c = service.Counters();
+  EXPECT_EQ(c.admitted_frames, rounds * Rounds().rounds[0].reports.size());
+  EXPECT_EQ(c.refused_frames, 0u);
+  EXPECT_GT(c.backpressure, 0u);
+  EXPECT_EQ(c.localized_rounds, rounds);
+  EXPECT_EQ(updates.load(), rounds);
+
+  HealthPolicy policy;
+  policy.min_rounds = 1;  // judge the ratios over these rounds
+  const HealthReport health = EvaluateHealth(service.HealthStats(), policy);
+  const auto refused = std::ranges::find(health.checks, "refused_ratio",
+                                         &HealthCheck::name);
+  ASSERT_NE(refused, health.checks.end());
+  EXPECT_EQ(refused->value, 0.0);
+  EXPECT_TRUE(refused->ok);
 }
 
 TEST(LocalizationService, BurstsAfterIdleGapsAlwaysDrain) {

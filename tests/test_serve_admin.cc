@@ -275,12 +275,12 @@ TEST(AdminServer, AttachedServiceExposesShardSeriesAndHealth) {
   AdminServer admin;
   admin.Attach(&service);
 
-  // Replay two dataset rounds as two tags; retry refused pushes.
+  // Replay two dataset rounds as two tags; retry rejected pushes.
   for (std::uint64_t tag = 0; tag < 2; ++tag) {
     for (const auto& report : Rounds().rounds[tag].reports) {
       anchor::CsiReport frame = report;
       frame.round_id = 0;
-      while (!service.Ingest(tag, frame)) std::this_thread::yield();
+      while (!service.TryIngest(tag, frame)) std::this_thread::yield();
     }
   }
   const auto deadline =

@@ -210,7 +210,7 @@ link::ChannelMap WifiBlacklistMap() {
 }
 
 TEST(Measurement, FullPhyBitIdenticalAcrossThreadCounts) {
-  // Per-measurement RNG streams are forked from (round, channel, anchor,
+  // Per-measurement noise streams are keyed on (round, channel, anchor,
   // antenna, leg), so the fan-out must produce the same bits no matter how
   // many workers run it. Round 1 additionally exercises the cached
   // master-leg waveforms built during round 0.
@@ -295,20 +295,19 @@ TEST(Measurement, FullPhyRoundsMatchGoldenDigests) {
                   "multiply-adds into FMAs, which changes the bits";
 #endif
   // Two planned full-PHY rounds (CFO on, two workers) per channel map,
-  // digested from their wire bytes. The digests were captured from the
-  // per-(event, anchor) fan-out that computed every half-comb with the
-  // in-place lane loop; the chain fan-out with shared half-combs and the
-  // dispatched path-comb kernel must reproduce those rounds bit for bit,
-  // on every ISA.
+  // digested from their wire bytes. They pin the comb, FFT, counter-based
+  // noise, extraction and fan-out bit for bit, with the same values under
+  // BLOC_FORCE_ISA=scalar, avx2 and avx512; a deliberate change to any of
+  // them re-captures the digests from this test's failure message.
   struct Case {
     const char* name;
     link::ChannelMap map;
     std::uint64_t digest;
   };
   const Case cases[] = {
-      {"full map", link::ChannelMap(), 0xb8493a796cee76cbull},
-      {"Wi-Fi blacklist", WifiBlacklistMap(), 0xfcf642a3f372c32aull},
-      {"subsampled + blacklist", ChainBreakMap(), 0xf3ee1229ebadbb79ull},
+      {"full map", link::ChannelMap(), 0x11b42048c8844ba5ull},
+      {"Wi-Fi blacklist", WifiBlacklistMap(), 0xbccf805fa25e525aull},
+      {"subsampled + blacklist", ChainBreakMap(), 0xb5239d67ca2bad26ull},
   };
   for (const Case& c : cases) {
     Testbed testbed(SmallFullPhyConfig(8));

@@ -347,6 +347,18 @@ TEST(DatasetFingerprint, IsStableAcrossProcesses) {
             Fingerprint(PaperTestbed(1), SmallOptions()));
 }
 
+TEST(DatasetFingerprint, NoiseSamplerVersionKeysOnlyFullPhyDatasets) {
+  // Analytic synthesis never draws full-PHY receiver noise, so its key
+  // keeps the value it had before the sampler was versioned and stored
+  // analytic files stay valid. Full-PHY keys hash
+  // kFullPhyNoiseSamplerVersion: a file synthesized with the mt19937_64
+  // sampler (whose key was 0x43f41d9211c2fe51 here) is a store miss.
+  ScenarioConfig scenario = PaperTestbed(1);
+  EXPECT_EQ(Fingerprint(scenario, SmallOptions()), 0x8119a63b1233191cull);
+  scenario.mode = MeasurementMode::kFullPhy;
+  EXPECT_NE(Fingerprint(scenario, SmallOptions()), 0x43f41d9211c2fe51ull);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption: truncated, bit-flipped and mangled files must raise WireError,
 // never UB. The trailing CRC covers header + payload, so *every* single-bit
